@@ -3,36 +3,32 @@
 
    Usage: main.exe
      [table1|table2|figures|spice|ablation|micro|quick|all]
-     | cache [CIRCUIT...]
      | par [CIRCUIT...]
      | trace [CIRCUIT...]
-     | smoke [CIRCUIT [CLUSTERED_CIRCUIT]]
+     | smoke
      | scale [--smoke]
      | eff [--smoke]
      | compare OLD.json NEW.json [--threshold PCT]
      | fuzz [--cases N] [--seed S] [--inject] [--replay CASE]
    (default: all).  "quick" restricts the tables to r1-r3 for fast runs;
-   "cache" (also run by "micro") compares the merge-trial cache off vs on
-   and incremental ranking off vs on over r1-r5 (or the listed circuits),
-   sweeps the engine's jobs knob, routes the clustered two-level mode,
-   and writes BENCH_<circuit>.json stats files; "par" prints just the
-   jobs sweep (speedup vs jobs in
-   {1,2,4,cores}); "trace" routes r1-r5 (or the listed circuits) with a
-   live trace, writes TRACE_<circuit>.json (Chrome trace-event) and
-   TRACE_<circuit>.jsonl (metrics journal) and fails when the journal's
-   per-round sums disagree with the engine stats; "smoke" is the
-   deterministic CI perf gate: it routes
-   one circuit (default r3) with incremental ranking off then on and
-   fails unless the trees are identical and the probe counter strictly
-   dropped, then gates the clustered router on a second circuit (default
-   r5: clusters=1 must equal flat bit-for-bit and the auto-clustered
-   tree must pass the global grouped audit); "scale" routes synthetic
-   10^4-10^6-sink instances through the (multi-level) clustered router,
-   checks the clusters=1-vs-flat identity and a forced depth-2 leg, and
-   writes the BENCH_scale.json curve with per-point peak heap — each
-   point routes with the live progress heartbeat on stderr (--smoke
-   keeps the CI-sized pieces only); "eff" sweeps jobs in {1,2,4} with
-   the Obs.Sched flight recorder live, prints the per-phase
+   "par" (also run by "micro") routes r1-r5 (or the listed circuits)
+   with the default configuration, sweeps the engine's jobs knob (speedup
+   vs jobs in {1,2,4,cores}), routes the clustered mode and writes
+   BENCH_<circuit>.json stats files; "trace" routes r1-r5 (or the listed
+   circuits) with a live trace, writes TRACE_<circuit>.json (Chrome
+   trace-event) and TRACE_<circuit>.jsonl (metrics journal) and fails
+   when the journal's per-round sums disagree with the engine stats;
+   "smoke" is the deterministic CI perf gate: it bounds the ranking
+   path's work on r3 and r5 (one grid query per probe, grid cells
+   visited per query, minor words per probe), then gates the clustered
+   router on r5 (clusters=1 must equal flat bit-for-bit and the
+   auto-clustered tree must pass the global grouped audit); "scale"
+   routes synthetic 10^4-10^6-sink instances through the (multi-level)
+   clustered router, checks the clusters=1-vs-flat identity and a forced
+   depth-2 leg, and writes the BENCH_scale.json curve with per-point peak
+   heap — each point routes with the live progress heartbeat on stderr
+   (--smoke keeps the CI-sized pieces only); "eff" sweeps jobs in
+   {1,2,4} with the Obs.Sched flight recorder live, prints the per-phase
    utilization / serial-fraction / Amdahl table, writes BENCH_eff.json
    and fails when any run lacks an efficiency report, reports a serial
    fraction outside [0,1], or the jobs=1 leg does not measure speedup
@@ -102,10 +98,20 @@ let bench_instance (spec : Workload.Circuits.spec) =
   Workload.Circuits.instance spec ~n_groups:8
     ~scheme:Workload.Partition.Intermingled ~bound ()
 
+(* Identical-tree check used by the par bench and the smoke gate:
+   evaluation metrics are a complete fingerprint for this purpose (the
+   embedding is deterministic in the planned tree, and the check oracles
+   additionally compare trees node-for-node). *)
+let same_result (a : Astskew.Router.result) (b : Astskew.Router.result) =
+  a.evaluation.wirelength = b.evaluation.wirelength
+  && a.evaluation.global_skew = b.evaluation.global_skew
+  && a.evaluation.max_group_skew = b.evaluation.max_group_skew
+
 (* Routes the instance once per jobs value (AST-DME) and reports wall and
    engine time plus the speedup relative to jobs=1.  The engine freezes
    each round's state before probing, so every run must produce the same
-   tree; the sweep cross-checks evaluation metrics and trial stats. *)
+   tree; the sweep cross-checks evaluation metrics and trial-merge
+   counts. *)
 let par_sweep inst =
   let cores = Domain.recommended_domain_count () in
   let sweep = List.sort_uniq Int.compare [ 1; 2; 4; cores ] in
@@ -121,10 +127,7 @@ let par_sweep inst =
   in
   let _, base_wall, (base : Astskew.Router.result) = List.hd runs in
   let same (a : Astskew.Router.result) (b : Astskew.Router.result) =
-    a.evaluation.wirelength = b.evaluation.wirelength
-    && a.evaluation.global_skew = b.evaluation.global_skew
-    && a.evaluation.max_group_skew = b.evaluation.max_group_skew
-    && a.engine.trial = b.engine.trial
+    same_result a b && a.engine.trial_merges = b.engine.trial_merges
   in
   let rows =
     List.map
@@ -170,6 +173,13 @@ let par_header () =
 
 let default_circuits = [ "r1"; "r2"; "r3"; "r4"; "r5" ]
 
+(* Routes each circuit with the default configuration, sweeps the engine
+   jobs knob, routes the clustered mode (auto cluster count, plus the
+   degenerate clusters=1 identity against the flat run) and writes one
+   BENCH_<circuit>.json per circuit with per-phase timings, counters,
+   the jobs sweep and the full Obs snapshot of each run.  These files are
+   the machine-readable trajectory future performance PRs are judged
+   against (see the `compare` subcommand). *)
 let par_bench ?(circuits = default_circuits) () =
   header
     (Printf.sprintf "Parallel ranking sweep (AST-DME, %d core%s)"
@@ -180,103 +190,34 @@ let par_bench ?(circuits = default_circuits) () =
     (fun name ->
       match Workload.Circuits.find name with
       | None -> Format.eprintf "par bench: unknown circuit %S@." name
-      | Some spec -> print_par_sweep spec.name (par_sweep (bench_instance spec)))
-    circuits
-
-(* --- Merge-trial cache comparison + BENCH_*.json ------------------------- *)
-
-(* Identical-tree check used by the cache/incremental benches and the
-   smoke gate: evaluation metrics are a complete fingerprint for this
-   purpose (the embedding is deterministic in the planned tree, and the
-   check oracles additionally compare trees node-for-node). *)
-let same_result (a : Astskew.Router.result) (b : Astskew.Router.result) =
-  a.evaluation.wirelength = b.evaluation.wirelength
-  && a.evaluation.global_skew = b.evaluation.global_skew
-  && a.evaluation.max_group_skew = b.evaluation.max_group_skew
-
-(* Routes each circuit with the trial cache off then on, then with
-   incremental ranking ablated (cache on), checks the trees agree, prints
-   the speedups, sweeps the engine jobs knob, and writes one
-   BENCH_<circuit>.json per circuit with per-phase timings, cache and
-   probe counters, the jobs sweep and the full Obs snapshot of each run.
-   These files are the machine-readable trajectory future performance PRs
-   are judged against (see the `compare` subcommand). *)
-let cache_bench ?(circuits = default_circuits) () =
-  header "Merge-trial cache (AST-DME, cache off vs on)";
-  Format.printf "%-8s %9s %9s %8s %11s %11s %7s@." "circuit" "off (s)"
-    "on (s)" "speedup" "trials-off" "trials-on" "drop%";
-  List.iter
-    (fun name ->
-      match Workload.Circuits.find name with
-      | None -> Format.eprintf "cache bench: unknown circuit %S@." name
       | Some spec ->
         let inst = bench_instance spec in
-        let timed config =
+        let timed f =
           Obs.Report.reset ();
           let t0 = Obs.Timer.now () in
-          let r = Astskew.Router.ast_dme ~config inst in
+          let r = f () in
           let elapsed = Obs.Timer.now () -. t0 in
           (r, elapsed, Obs.Report.snapshot ())
         in
-        let off_config =
-          { Astskew.Router.ast_default_config with Dme.Engine.trial_cache = false }
-        in
-        let r_off, t_off, snap_off = timed off_config in
-        let r_on, t_on, snap_on = timed Astskew.Router.ast_default_config in
-        let identical = same_result r_off r_on in
-        let trials_off = r_off.engine.trial.trial_merges in
-        let trials_on = r_on.engine.trial.trial_merges in
-        let drop =
-          100. *. (1. -. (float_of_int trials_on /. float_of_int (Int.max 1 trials_off)))
-        in
-        let speedup = t_off /. Float.max 1e-9 t_on in
-        Format.printf "%-8s %9.3f %9.3f %7.2fx %11d %11d %6.1f%%@." spec.name
-          t_off t_on speedup trials_off trials_on drop;
-        if not identical then
-          Format.printf "  WARNING: %s cache-on tree differs from cache-off!@."
-            spec.name;
-        (* Incremental ranking ablation, both runs with the cache on so
-           the only delta is the cross-round proposal reuse. *)
-        let noinc_config =
-          { Astskew.Router.ast_default_config with Dme.Engine.incremental = false }
-        in
-        let r_noinc, t_noinc, snap_noinc = timed noinc_config in
-        let probes_full = r_noinc.engine.nn_reprobes in
-        let probes_inc = r_on.engine.nn_reprobes in
-        let probe_drop =
-          100.
-          *. (1. -. (float_of_int probes_inc /. float_of_int (Int.max 1 probes_full)))
-        in
-        let inc_identical = same_result r_noinc r_on in
-        let inc_speedup = t_noinc /. Float.max 1e-9 t_on in
-        Format.printf
-          "  incremental: probes %d -> %d (%.1f%% drop), %.2fx engine wall, trees %s@."
-          probes_full probes_inc probe_drop inc_speedup
-          (if inc_identical then "ok" else "DIFFER!");
+        let r, t, snap = timed (fun () -> Astskew.Router.ast_dme inst) in
         let par = par_sweep inst in
-        (* Clustered leg: the two-level router at the auto cluster
-           count, plus the degenerate clusters=1 identity against the
-           flat cache-on run.  Its watched metrics (wall, counters, GC
-           words, quality) land in the BENCH json so `compare` gates
-           the clustered path exactly like the flat one. *)
-        let timed_clustered clusters =
-          Obs.Report.reset ();
-          let t0 = Obs.Timer.now () in
-          let r = Astskew.Router.ast_dme ~clustered:true ?clusters inst in
-          let elapsed = Obs.Timer.now () -. t0 in
-          (r, elapsed, Obs.Report.snapshot ())
+        print_par_sweep spec.name par;
+        let r_clu, t_clu, snap_clu =
+          timed (fun () -> Astskew.Router.ast_dme ~clustered:true inst)
         in
-        let r_clu, t_clu, snap_clu = timed_clustered None in
-        let r_k1, _, _ = timed_clustered (Some 1) in
-        let clu_identical = same_result r_on r_k1 in
+        let r_k1, _, _ =
+          timed (fun () ->
+              Astskew.Router.ast_dme ~clustered:true ~clusters:1 inst)
+        in
+        let clu_identical = same_result r r_k1 in
         let regions =
           match r_clu.clustering with
           | Some d -> d.Dme.Cluster.n_clusters
           | None -> 0
         in
         Format.printf
-          "  clustered: %d regions, %.3f s (%.2fx cache-on wall), clusters=1 trees %s@."
-          regions t_clu (t_on /. Float.max 1e-9 t_clu)
+          "  clustered: %d regions, %.3f s (%.2fx flat wall), clusters=1 trees %s@."
+          regions t_clu (t /. Float.max 1e-9 t_clu)
           (if clu_identical then "ok" else "DIFFER!");
         let run_json result elapsed snap =
           Obs.Json.Obj
@@ -294,23 +235,7 @@ let cache_bench ?(circuits = default_circuits) () =
               ("n_groups", Obs.Json.Int 8);
               ("scheme", Obs.Json.String "intermingled");
               ("bound_ps", Obs.Json.Float bound);
-              ("identical_trees", Obs.Json.Bool identical);
-              ("speedup", Obs.Json.Float speedup);
-              ("trial_merges_off", Obs.Json.Int trials_off);
-              ("trial_merges_on", Obs.Json.Int trials_on);
-              ("trial_drop_pct", Obs.Json.Float drop);
-              ( "incremental",
-                Obs.Json.Obj
-                  [
-                    ("identical_trees", Obs.Json.Bool inc_identical);
-                    ("nn_probes_full", Obs.Json.Int probes_full);
-                    ("nn_probes_incremental", Obs.Json.Int probes_inc);
-                    ( "nn_probes_saved",
-                      Obs.Json.Int r_on.engine.nn_probes_saved );
-                    ("probe_drop_pct", Obs.Json.Float probe_drop);
-                    ("speedup", Obs.Json.Float inc_speedup);
-                    ("off", run_json r_noinc t_noinc snap_noinc);
-                  ] );
+              ("default", run_json r t snap);
               ("par", par_json par);
               ( "clustered",
                 Obs.Json.Obj
@@ -319,8 +244,6 @@ let cache_bench ?(circuits = default_circuits) () =
                     ("identical_at_one_cluster", Obs.Json.Bool clu_identical);
                     ("run", run_json r_clu t_clu snap_clu);
                   ] );
-              ("cache_off", run_json r_off t_off snap_off);
-              ("cache_on", run_json r_on t_on snap_on);
             ]
         in
         let file = Printf.sprintf "BENCH_%s.json" spec.name in
@@ -328,14 +251,74 @@ let cache_bench ?(circuits = default_circuits) () =
         Format.printf "  wrote %s@." file)
     circuits
 
-(* --- CI perf smoke: incremental ranking must actually save probes ---------- *)
+(* --- CI perf smoke: deterministic work gate on the ranking path ---------- *)
 
-(* Deterministic probe-counter gate, stable on shared runners where
-   wall-clock is not: routes one circuit with incremental ranking off
-   then on (trial cache on for both) and fails unless the routed trees
-   are identical, the executed probe count strictly dropped, the trial
-   workload did not grow, and the executed + saved probes of the
-   incremental run add up exactly to the from-scratch count. *)
+(* Ranking-work budgets per circuit: grid cells visited per k-NN query,
+   at the values measured when the gate was set (79.6 on r3, 86.2 on
+   r5).  Like every gate below they are deterministic counters, so they
+   cannot flake on slow runners. *)
+let smoke_cells_per_query = [ ("r3", 80.); ("r5", 87.) ]
+
+(* Allocation budget: the arena/SoA merge loop allocates a bounded number
+   of minor words per executed ranking probe (~800 on r3 and r5).
+   Before the slab rewrite the figure sat around 7500 words/probe on r5.
+   The budget leaves headroom for honest churn while still catching a
+   boxed octagon or closure sneaking back onto the hot path (a 5-6x
+   jump).  Allocation counts are deterministic per domain. *)
+let words_per_probe_budget = 3500.
+
+let smoke_fail msg =
+  Format.printf "FAIL: %s@." msg;
+  exit 1
+
+(* Work gate of the surviving ranking path: one grid query per probe
+   (the endgame [nearest] fallback never fires on these circuits), the
+   cells-per-query budget above, the allocation budget, and the probe
+   counter agreeing with the engine's stats. *)
+let smoke_work (name, cells_budget) =
+  match Workload.Circuits.find name with
+  | None ->
+    Format.eprintf "smoke: unknown circuit %S@." name;
+    exit 2
+  | Some spec ->
+    header (Printf.sprintf "Perf smoke: ranking work on %s" spec.name);
+    let inst = bench_instance spec in
+    Obs.Report.reset ();
+    let r = Astskew.Router.ast_dme inst in
+    let counter n =
+      match Obs.Counter.find n with Some c -> Obs.Counter.value c | None -> 0
+    in
+    let probes = counter "dme.order.nn_probes" in
+    let queries = counter "geometry.grid.queries" in
+    let cells = counter "geometry.grid.cells_visited" in
+    let cells_per_query = float_of_int cells /. float_of_int (Int.max 1 queries) in
+    let words_per_probe =
+      r.engine.gc.Obs.Gcstat.minor_words
+      /. float_of_int (Int.max 1 r.engine.nn_reprobes)
+    in
+    Format.printf "probes %d, grid queries %d, cells/query %.1f (budget %.0f)@."
+      probes queries cells_per_query cells_budget;
+    Format.printf "alloc: minor words=%.3e (%.1f per executed probe)@."
+      r.engine.gc.Obs.Gcstat.minor_words words_per_probe;
+    if probes <> r.engine.nn_reprobes then
+      smoke_fail
+        (Printf.sprintf "probe counter %d <> engine nn_reprobes %d" probes
+           r.engine.nn_reprobes);
+    if queries <> probes then
+      smoke_fail
+        (Printf.sprintf "%d grid queries for %d probes (expected one each)"
+           queries probes);
+    if cells_per_query > cells_budget then
+      smoke_fail
+        (Printf.sprintf "%.1f grid cells per query exceeds the %.0f budget"
+           cells_per_query cells_budget);
+    if words_per_probe > words_per_probe_budget then
+      smoke_fail
+        (Printf.sprintf
+           "allocation per probe %.1f exceeds the %.0f minor-word budget"
+           words_per_probe words_per_probe_budget);
+    Format.printf "OK@."
+
 (* Clustered leg of the smoke gate: the two-level router must
    degenerate exactly at clusters=1 (same tree, same probe and trial
    counters as flat) and stay Audit-clean under the global grouped
@@ -366,32 +349,28 @@ let smoke_clustered name =
     let line what (r : Astskew.Router.result) wall =
       Format.printf
         "%-12s wall %6.3f s, probes %6d, trial merges %6d, minor words %.3e@."
-        what wall r.engine.nn_reprobes r.engine.trial.trial_merges
+        what wall r.engine.nn_reprobes r.engine.trial_merges
         r.engine.gc.Obs.Gcstat.minor_words
     in
     line "flat:" flat t_flat;
     line "clusters=1:" k1 t_k1;
     line "clustered:" clu t_clu;
-    let fail msg =
-      Format.printf "FAIL: %s@." msg;
-      exit 1
-    in
     (match clu.clustering with
-     | None -> fail "clustered run reports no clustering detail"
+     | None -> smoke_fail "clustered run reports no clustering detail"
      | Some d ->
        Format.printf "clustered regions: %d, top-level rounds: %d@."
          d.Dme.Cluster.n_clusters d.top.rounds;
        Array.iter
          (fun (c : Dme.Cluster.cluster_stats) ->
            if c.n_sinks = 0 then
-             fail (Printf.sprintf "region %d is empty" c.cluster))
+             smoke_fail (Printf.sprintf "region %d is empty" c.cluster))
          d.per_cluster);
     if not (same_result flat k1) then
-      fail "clusters=1 tree differs from the flat router's";
+      smoke_fail "clusters=1 tree differs from the flat router's";
     if flat.engine.nn_reprobes <> k1.engine.nn_reprobes then
-      fail "clusters=1 probe count differs from flat";
-    if flat.engine.trial <> k1.engine.trial then
-      fail "clusters=1 trial-merge stats differ from flat";
+      smoke_fail "clusters=1 probe count differs from flat";
+    if flat.engine.trial_merges <> k1.engine.trial_merges then
+      smoke_fail "clusters=1 trial-merge count differs from flat";
     let audit =
       Check.Audit.run Check.Audit.Grouped inst clu.routed clu.evaluation
     in
@@ -400,73 +379,17 @@ let smoke_clustered name =
         (fun (v : Check.Audit.violation) ->
           Format.printf "  AUDIT %s: %s@." v.invariant v.detail)
         audit;
-      fail "clustered route failed the global grouped audit"
+      smoke_fail "clustered route failed the global grouped audit"
     end;
     Format.printf "OK@."
 
 let smoke args =
-  let name, clustered_name =
-    match args with
-    | [] -> ("r3", "r5")
-    | [ c ] -> (c, "r5")
-    | [ c; k ] -> (c, k)
-    | _ ->
-      Format.eprintf "usage: smoke [CIRCUIT [CLUSTERED_CIRCUIT]]@.";
-      exit 2
-  in
-  (match Workload.Circuits.find name with
-  | None ->
-    Format.eprintf "smoke: unknown circuit %S@." name;
+  if args <> [] then begin
+    Format.eprintf "usage: smoke@.";
     exit 2
-  | Some spec ->
-    header (Printf.sprintf "Perf smoke: incremental ranking on %s" spec.name);
-    let inst = bench_instance spec in
-    let run incremental =
-      Obs.Report.reset ();
-      Astskew.Router.ast_dme ~incremental inst
-    in
-    let off = run false in
-    let on = run true in
-    let full = off.engine.nn_reprobes in
-    let inc = on.engine.nn_reprobes in
-    let saved = on.engine.nn_probes_saved in
-    let drop =
-      100. *. (1. -. (float_of_int inc /. float_of_int (Int.max 1 full)))
-    in
-    Format.printf "probes: full=%d incremental=%d saved=%d (%.1f%% drop)@."
-      full inc saved drop;
-    (* Allocation gate: the arena/SoA merge loop allocates a bounded
-       number of minor words per executed ranking probe.  Before the
-       slab rewrite the figure sat around 7500 words/probe on r5;
-       after it, well under 2000 on every circuit.  The budget leaves
-       ~2x headroom for honest churn while still catching a boxed
-       octagon or closure sneaking back onto the hot path (a 5-6x
-       jump).  Allocation counts are deterministic per domain, so
-       like the probe counters this cannot flake on slow runners. *)
-    let words_per_probe_budget = 3500. in
-    let words_per_probe =
-      on.engine.gc.Obs.Gcstat.minor_words /. float_of_int (Int.max 1 inc)
-    in
-    Format.printf "alloc: minor words=%.3e (%.1f per executed probe)@."
-      on.engine.gc.Obs.Gcstat.minor_words words_per_probe;
-    let fail msg =
-      Format.printf "FAIL: %s@." msg;
-      exit 1
-    in
-    if not (same_result off on) then
-      fail "incremental tree differs from from-scratch tree";
-    if on.engine.trial.trial_merges > off.engine.trial.trial_merges then
-      fail "incremental run executed more trial merges than from-scratch";
-    if inc >= full then fail "incremental ranking saved no probes";
-    if inc + saved <> full then
-      fail "executed + saved probes do not add up to the full count";
-    if words_per_probe > words_per_probe_budget then
-      fail
-        (Printf.sprintf
-           "allocation per probe %.1f exceeds the %.0f minor-word budget"
-           words_per_probe words_per_probe_budget);
-    Format.printf "OK@.");
-  smoke_clustered clustered_name
+  end;
+  List.iter smoke_work smoke_cells_per_query;
+  smoke_clustered "r5"
 
 (* --- bench trace: Chrome trace + JSONL journal artifacts ------------------- *)
 
@@ -531,11 +454,7 @@ let trace_bench ?(circuits = default_circuits) () =
         in
         check "rounds" (List.length round_records) r.engine.rounds;
         check "probes" (sum "probes") r.engine.nn_reprobes;
-        check "nn_probes_saved" (sum "nn_probes_saved")
-          r.engine.nn_probes_saved;
-        check "trial_merges" (sum "trial_merges") r.engine.trial.trial_merges;
-        check "trial_cache_hits" (sum "trial_cache_hits")
-          r.engine.trial.cache_hits;
+        check "trial_merges" (sum "trial_merges") r.engine.trial_merges;
         let efficiency_records =
           List.filter
             (function
@@ -590,8 +509,7 @@ let flatten json =
 let cost_metrics =
   [
     "wall_s"; "engine_s"; "repair_s"; "evaluate_s"; "total_s"; "cpu_seconds";
-    "trial_merges"; "trial_cache_misses"; "nn_reprobes"; "nn_probes_full";
-    "nn_probes_incremental"; "trial_merges_off"; "trial_merges_on";
+    "trial_merges"; "nn_reprobes";
     "wirelength"; "global_skew_ps"; "max_group_skew_ps";
     (* repair-loop effort: balance cycles, lift sweeps and the per-sink
        repair wall time of the scale curve — the metrics the flat-arena
@@ -699,7 +617,7 @@ let compare_bench args =
 (* --- Bechamel micro-benchmarks ------------------------------------------- *)
 
 let micro () =
-  cache_bench ();
+  par_bench ();
   header "Bechamel micro-benchmarks";
   let open Bechamel in
   let open Geometry in
@@ -1286,7 +1204,6 @@ let () =
     header "Ablation (Section V.F)";
     Experiments.Ablation.print (Experiments.Ablation.run ())
   | "micro" -> micro ()
-  | "cache" -> cache_bench ?circuits:(circuits_of rest) ()
   | "par" -> par_bench ?circuits:(circuits_of rest) ()
   | "trace" -> trace_bench ?circuits:(circuits_of rest) ()
   | "smoke" -> smoke rest
@@ -1308,6 +1225,6 @@ let () =
     micro ()
   | other ->
     Format.eprintf
-      "unknown command %S (expected table1|table2|figures|spice|ablation|micro|cache|par|trace|smoke|scale|eff|compare|quick|all)@."
+      "unknown command %S (expected table1|table2|figures|spice|ablation|micro|par|trace|smoke|scale|eff|compare|quick|all)@."
       other;
     exit 1

@@ -40,12 +40,6 @@ let jobs_arg =
     & opt int (Par.Pool.default_jobs ())
     & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
-let no_incremental_arg =
-  let doc =
-    "Disable the engine's cross-round nearest-neighbour proposal cache      and re-probe every active subtree each round (ablation / paranoia      switch).  Routed trees are bit-identical either way; only probe and      trial-merge counts, and hence wall time, change."
-  in
-  Arg.(value & flag & info [ "no-incremental" ] ~doc)
-
 let clustered_arg =
   let doc =
     "Route AST-DME in clustered mode: partition the sinks into spatial      regions, plan each region in parallel, stitch the region roots back      through a bounded-fan-in hierarchy of merges.  With --clusters 1 the      output is bit-identical to the flat router; any fixed cluster count      and depth is bit-identical across --jobs."
@@ -110,7 +104,7 @@ let trace_arg =
 
 let trace_journal_arg =
   let doc =
-    "Write a JSONL metrics journal to FILE: a manifest line (circuit,      seed, full engine config), one record per DME merge round (probe,      cache and trial-merge counts, merge cost, cumulative wire, wall      time) and a final histograms record."
+    "Write a JSONL metrics journal to FILE: a manifest line (circuit,      seed, full engine config), one record per DME merge round (probe      and trial-merge counts, merge cost, cumulative wire, wall      time) and a final histograms record."
   in
   Arg.(
     value & opt (some string) None & info [ "trace-journal" ] ~docv:"FILE" ~doc)
@@ -118,7 +112,7 @@ let trace_journal_arg =
 (* One trace context serves both artifacts; Trace.null when neither was
    requested, so the untraced run skips every emission. *)
 let make_trace ~trace_file ~journal_file ~circuit ~groups ~scheme ~bound ~seed
-    ~file ~jobs ~incremental =
+    ~file ~jobs =
   if trace_file = None && journal_file = None then Obs.Trace.null
   else begin
     let trace = Obs.Trace.create () in
@@ -132,7 +126,6 @@ let make_trace ~trace_file ~journal_file ~circuit ~groups ~scheme ~bound ~seed
          ("scheme", Obs.Json.String scheme);
          ("bound_ps", Obs.Json.Float bound);
          ("jobs", Obs.Json.Int jobs);
-         ("incremental", Obs.Json.Bool incremental);
        ]
       @ match seed with
         | Some s -> [ ("seed", Obs.Json.Int s) ]
@@ -203,17 +196,16 @@ let print_result name (r : Astskew.Router.result) =
 
 let route_cmd =
   let run circuit groups scheme bound seed algo file svg stats_json jobs
-      no_incremental clustered clusters cluster_depth repair_max_cycles
+      clustered clusters cluster_depth repair_max_cycles
       show_progress trace_file journal_file =
     match load_instance ?file circuit groups scheme bound seed with
     | Error e ->
       Format.eprintf "astroute: %s@." e;
       1
     | Ok inst ->
-      let incremental = not no_incremental in
       let trace =
         make_trace ~trace_file ~journal_file ~circuit ~groups ~scheme ~bound
-          ~seed ~file ~jobs ~incremental
+          ~seed ~file ~jobs
       in
       let progress =
         if show_progress then Obs.Progress.create () else Obs.Progress.null
@@ -223,22 +215,22 @@ let route_cmd =
         | "ast" ->
           Some
             ( "AST-DME",
-              Astskew.Router.ast_dme ~jobs ~incremental ~clustered ?clusters
+              Astskew.Router.ast_dme ~jobs ~clustered ?clusters
                 ?cluster_depth ?repair_max_cycles ~trace ~progress inst )
         | "ext" ->
           Some
             ( "EXT-BST",
-              Astskew.Router.ext_bst ~jobs ~incremental ?repair_max_cycles
+              Astskew.Router.ext_bst ~jobs ?repair_max_cycles
                 ~trace ~progress inst )
         | "zst" ->
           Some
             ( "greedy-DME",
-              Astskew.Router.greedy_dme ~jobs ~incremental ?repair_max_cycles
+              Astskew.Router.greedy_dme ~jobs ?repair_max_cycles
                 ~trace ~progress inst )
         | "mmm" ->
           Some
             ( "MMM-DME",
-              Astskew.Router.mmm_dme ~jobs ~incremental ?repair_max_cycles
+              Astskew.Router.mmm_dme ~jobs ?repair_max_cycles
                 ~trace ~progress inst )
         | _ -> None
       in
@@ -283,8 +275,7 @@ let route_cmd =
     Term.(
       const run $ circuit_arg $ groups_arg $ scheme_arg $ bound_arg $ seed_arg
       $ algo_arg $ file_arg $ svg_arg $ stats_json_arg $ jobs_arg
-      $ no_incremental_arg $ clustered_arg $ clusters_arg
-      $ cluster_depth_arg $ repair_max_cycles_arg $ progress_arg $ trace_arg
+      $ clustered_arg $ clusters_arg $ cluster_depth_arg $ repair_max_cycles_arg $ progress_arg $ trace_arg
       $ trace_journal_arg)
   in
   Cmd.v (Cmd.info "route" ~doc:"Route one circuit with one algorithm.") term
@@ -311,28 +302,27 @@ let gen_cmd =
       $ out)
 
 let compare_cmd =
-  let run circuit groups scheme bound seed file stats_json jobs no_incremental
-      clustered clusters trace_file journal_file =
+  let run circuit groups scheme bound seed file stats_json jobs clustered
+      clusters trace_file journal_file =
     match load_instance ?file circuit groups scheme bound seed with
     | Error e ->
       Format.eprintf "astroute: %s@." e;
       1
     | Ok inst ->
       Format.printf "%a@." Clocktree.Instance.pp inst;
-      let incremental = not no_incremental in
       (* All four routers share one trace: their phases appear as
          consecutive span groups in the exported timeline. *)
       let trace =
         make_trace ~trace_file ~journal_file ~circuit ~groups ~scheme ~bound
-          ~seed ~file ~jobs ~incremental
+          ~seed ~file ~jobs
       in
-      let zst = Astskew.Router.greedy_dme ~jobs ~incremental ~trace inst in
-      let ext = Astskew.Router.ext_bst ~jobs ~incremental ~trace inst in
-      let mmm = Astskew.Router.mmm_dme ~jobs ~incremental ~trace inst in
+      let zst = Astskew.Router.greedy_dme ~jobs ~trace inst in
+      let ext = Astskew.Router.ext_bst ~jobs ~trace inst in
+      let mmm = Astskew.Router.mmm_dme ~jobs ~trace inst in
       (* --clustered applies to the AST-DME leg only; the baselines have
          no clustered mode. *)
       let ast =
-        Astskew.Router.ast_dme ~jobs ~incremental ~clustered ?clusters ~trace
+        Astskew.Router.ast_dme ~jobs ~clustered ?clusters ~trace
           inst
       in
       print_result "greedy-DME" zst;
@@ -359,8 +349,7 @@ let compare_cmd =
   let term =
     Term.(
       const run $ circuit_arg $ groups_arg $ scheme_arg $ bound_arg $ seed_arg
-      $ file_arg $ stats_json_arg $ jobs_arg $ no_incremental_arg
-      $ clustered_arg $ clusters_arg $ trace_arg $ trace_journal_arg)
+      $ file_arg $ stats_json_arg $ jobs_arg $ clustered_arg $ clusters_arg $ trace_arg $ trace_journal_arg)
   in
   Cmd.v (Cmd.info "compare" ~doc:"Compare all routers on one instance.") term
 

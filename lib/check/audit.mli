@@ -52,5 +52,5 @@ val run :
   violation list
 
 (** Structural equality of routed trees, exact on floats — the
-    "bit-identical" relation the trial-merge cache promises. *)
+    "bit-identical" relation the identity oracles check. *)
 val tree_equal : Clocktree.Tree.routed -> Clocktree.Tree.routed -> bool

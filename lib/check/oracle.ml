@@ -93,46 +93,6 @@ let routers ?(inject = false) inst =
   @ audit "greedy-dme" (Audit.Global 0.) (Router.greedy_dme ?config:None)
   @ audit "mmm-dme" Audit.Grouped (Router.mmm_dme ?config:None)
 
-(* --- trial-merge cache bit-identity -------------------------------------- *)
-
-let cache_identity inst =
-  guard "cache-identity" (fun () ->
-      let off_config =
-        { Router.ast_default_config with Dme.Engine.trial_cache = false }
-      in
-      let off = Router.ast_dme ~config:off_config inst in
-      let on = Router.ast_dme inst in
-      let diff = ref [] in
-      if not (Audit.tree_equal off.routed on.routed) then
-        diff :=
-          {
-            Audit.invariant = "cache-identity";
-            detail = "cache-on tree differs structurally from cache-off";
-          }
-          :: !diff;
-      Array.iteri
-        (fun i d ->
-          if d <> on.evaluation.delays.(i) then
-            diff :=
-              {
-                Audit.invariant = "cache-identity";
-                detail =
-                  Printf.sprintf "sink %d delay: off %.17g, on %.17g" i d
-                    on.evaluation.delays.(i);
-              }
-              :: !diff)
-        off.evaluation.delays;
-      if off.evaluation.wirelength <> on.evaluation.wirelength then
-        diff :=
-          {
-            Audit.invariant = "cache-identity";
-            detail =
-              Printf.sprintf "wirelength: off %.17g, on %.17g"
-                off.evaluation.wirelength on.evaluation.wirelength;
-          }
-          :: !diff;
-      List.rev !diff)
-
 (* --- parallel ranking bit-identity ---------------------------------------- *)
 
 let par_identity ?(jobs = [ 2; 4 ]) inst =
@@ -159,57 +119,10 @@ let par_identity ?(jobs = [ 2; 4 ]) inst =
           add "jobs=%d wirelength: serial %.17g, parallel %.17g" j
             serial.evaluation.wirelength par.evaluation.wirelength;
         (* Stats equality is stricter than tree equality: it proves the
-           workers' trial merges and cache traffic were exactly the
-           serial ones, i.e. scheduling never leaked into the cache. *)
-        if serial.engine.trial <> par.engine.trial then
-          add "jobs=%d trial stats differ from jobs=1" j;
-        List.rev !diff
-      in
-      List.concat_map check jobs)
-
-(* --- incremental ranking bit-identity -------------------------------------- *)
-
-let incremental_identity ?(jobs = [ 1; 2 ]) inst =
-  guard "incremental-identity" (fun () ->
-      let off = Router.ast_dme ~jobs:1 ~incremental:false inst in
-      let check j =
-        let on = Router.ast_dme ~jobs:j ~incremental:true inst in
-        let diff = ref [] in
-        let add fmt =
-          Printf.ksprintf
-            (fun detail ->
-              diff :=
-                { Audit.invariant = "incremental-identity"; detail } :: !diff)
-            fmt
-        in
-        if not (Audit.tree_equal off.routed on.routed) then
-          add "jobs=%d incremental tree differs structurally from from-scratch"
-            j;
-        Array.iteri
-          (fun i d ->
-            if d <> on.evaluation.delays.(i) then
-              add "jobs=%d sink %d delay: from-scratch %.17g, incremental %.17g"
-                j i d on.evaluation.delays.(i))
-          off.evaluation.delays;
-        if off.evaluation.wirelength <> on.evaluation.wirelength then
-          add "jobs=%d wirelength: from-scratch %.17g, incremental %.17g" j
-            off.evaluation.wirelength on.evaluation.wirelength;
-        (* Probe accounting: the cache must only ever skip work — never
-           add probes — and every rank slot is either re-probed or served
-           from the cache, summing to the from-scratch probe count.
-           Trial-merge stats are deliberately NOT compared: skipped
-           probes legitimately skip their candidates' trial merges (see
-           DESIGN.md section 10). *)
-        if on.engine.nn_reprobes > off.engine.nn_reprobes then
-          add "jobs=%d incremental ran MORE probes than from-scratch: %d > %d"
-            j on.engine.nn_reprobes off.engine.nn_reprobes;
-        if
-          on.engine.nn_reprobes + on.engine.nn_probes_saved
-          <> off.engine.nn_reprobes
-        then
-          add "jobs=%d probe accounting: %d reprobed + %d saved <> %d total" j
-            on.engine.nn_reprobes on.engine.nn_probes_saved
-            off.engine.nn_reprobes;
+           workers ran exactly the serial trial merges. *)
+        if serial.engine.trial_merges <> par.engine.trial_merges then
+          add "jobs=%d trial merges %d <> jobs=1 %d" j par.engine.trial_merges
+            serial.engine.trial_merges;
         List.rev !diff
       in
       List.concat_map check jobs)
@@ -274,15 +187,9 @@ let trace_identity ?(jobs = [ 1; 2 ]) inst =
         if sum "probes" <> traced.engine.nn_reprobes then
           add "jobs=%d journal probes %d <> engine nn_reprobes %d" j
             (sum "probes") traced.engine.nn_reprobes;
-        if sum "nn_probes_saved" <> traced.engine.nn_probes_saved then
-          add "jobs=%d journal nn_probes_saved %d <> engine %d" j
-            (sum "nn_probes_saved") traced.engine.nn_probes_saved;
-        if sum "trial_merges" <> traced.engine.trial.trial_merges then
+        if sum "trial_merges" <> traced.engine.trial_merges then
           add "jobs=%d journal trial_merges %d <> engine %d" j
-            (sum "trial_merges") traced.engine.trial.trial_merges;
-        if sum "trial_cache_hits" <> traced.engine.trial.cache_hits then
-          add "jobs=%d journal trial_cache_hits %d <> engine %d" j
-            (sum "trial_cache_hits") traced.engine.trial.cache_hits;
+            (sum "trial_merges") traced.engine.trial_merges;
         (* The Chrome export must round-trip through the JSON parser and
            actually contain events. *)
         (match Obs.Json.of_string (Obs.Json.to_string (Obs.Trace.to_chrome trace)) with
@@ -788,8 +695,8 @@ let delay_models ?(resolution = 300) inst =
       List.rev !out)
 
 let all ?(inject = false) inst =
-  routers ~inject inst @ cache_identity inst @ par_identity inst
-  @ incremental_identity inst @ trace_identity inst @ sched_identity inst
+  routers ~inject inst @ par_identity inst @ trace_identity inst
+  @ sched_identity inst
   @ cluster_identity inst @ cluster_depth_identity inst
   @ repair_identity inst @ evaluate_identity inst @ embed_identity inst
   @ clustered ~inject inst @ delay_models inst

@@ -8,15 +8,9 @@
       bound for EXT-BST, zero skew for greedy).  Wirelength orderings
       between routers are deliberately {e not} asserted — on grouped
       instances no router dominates another in general.
-    - {!cache_identity}: the trial-merge cache is semantically inert —
-      AST-DME with [trial_cache] off and on produce identical trees.
     - {!par_identity}: parallel cost ranking is deterministic — AST-DME
       with [jobs] > 1 produces the exact tree, sink delays, wirelength
-      {e and} trial-cache statistics of the serial [jobs = 1] run.
-    - {!incremental_identity}: the cross-round proposal cache is
-      semantically inert — AST-DME with [incremental] on produces the
-      exact tree, delays and wirelength of the from-scratch run while
-      never probing more, and its probe accounting balances.
+      {e and} trial-merge count of the serial [jobs = 1] run.
     - {!trace_identity}: structured tracing is semantically inert —
       AST-DME with a live {!Obs.Trace} produces the exact tree, delays,
       wirelength and engine stats of the untraced run, the journal's
@@ -67,37 +61,25 @@
     failures. *)
 
 type finding = {
-  oracle : string;  (** "ast-dme", "cache-identity", "delay-models", ... *)
+  oracle : string;  (** "ast-dme", "par-identity", "delay-models", ... *)
   violations : Audit.violation list;
 }
 
 val pp_finding : Format.formatter -> finding -> unit
 
 val routers : ?inject:bool -> Clocktree.Instance.t -> finding list
-val cache_identity : Clocktree.Instance.t -> finding list
 
 (** Route with [jobs = 1] then with each entry of [jobs] (default
     [[2; 4]]) and report any difference in tree structure, per-sink
-    delays, wirelength or trial-merge statistics. *)
+    delays, wirelength or trial-merge count. *)
 val par_identity : ?jobs:int list -> Clocktree.Instance.t -> finding list
-
-(** Route from scratch ([incremental = false], [jobs = 1]) then
-    incrementally with each entry of [jobs] (default [[1; 2]]) and report
-    any difference in tree structure, per-sink delays or wirelength, any
-    probe-count increase, and any violation of the accounting identity
-    [nn_reprobes + nn_probes_saved = from-scratch probes].  Trial-merge
-    stats are deliberately not compared: skipped probes skip their
-    candidates' trial merges (see DESIGN.md section 10). *)
-val incremental_identity :
-  ?jobs:int list -> Clocktree.Instance.t -> finding list
 
 (** Route untraced with [jobs = 1], then traced (fresh {!Obs.Trace})
     with each entry of [jobs] (default [[1; 2]]) and report any
     difference in tree structure, per-sink delays, wirelength or engine
     stats (tracing must be semantically inert), any disagreement
-    between the journal's per-round sums (probes, probes saved, trial
-    merges, trial-cache hits, round count) and the engine's aggregate
-    stats, and any failure of the Chrome export to re-parse via
+    between the journal's per-round sums (probes, trial merges, round
+    count) and the engine's aggregate stats, and any failure of the Chrome export to re-parse via
     {!Obs.Json.of_string} with a non-empty [traceEvents] list. *)
 val trace_identity : ?jobs:int list -> Clocktree.Instance.t -> finding list
 

@@ -30,15 +30,13 @@ let check ?inject (case : Gen.case) =
    evaluation identity oracles alone: the full battery would take
    minutes per 1500-sink instance, and scale stresses exactly the
    ranking, repair and windowed-evaluation paths — which is what these
-   audit.  The incremental oracle runs at jobs = 2 so cache reuse and
-   parallel probing are exercised together; repair-identity at this
-   size auto-derives multiple regions, so the regional-fixpoint
-   machinery is exercised against the serial from-scratch pass on every
-   huge case; sched-identity at jobs = 2 proves the flight recorder
+   audit.  Par-identity checks jobs 2 and 4 against the serial run;
+   repair-identity at this size auto-derives multiple regions, so the
+   regional-fixpoint machinery is exercised against the serial
+   from-scratch pass on every huge case; sched-identity at jobs = 2 proves the flight recorder
    stays inert exactly where its ledgers are busiest. *)
 let huge_oracles inst =
   Oracle.par_identity inst
-  @ Oracle.incremental_identity ~jobs:[ 2 ] inst
   @ Oracle.repair_identity ~jobs:[ 2 ] inst
   @ Oracle.evaluate_identity ~jobs:[ 2 ] inst
   @ Oracle.sched_identity ~jobs:[ 2 ] inst

@@ -5,8 +5,8 @@
     instance, and greedily shrinks any failure to a minimal repro.  It
     then appends [cases / 25] benchmark-scale cases (indices
     [cases ..]): even slots are {!Gen.Huge} checked against the
-    ranking-path identity oracles ({!Oracle.par_identity} and
-    {!Oracle.incremental_identity}), odd slots are {!Gen.Banked}
+    ranking-path, repair, evaluation and recorder identity oracles
+    ({!Oracle.par_identity} first), odd slots are {!Gen.Banked}
     checked against the clustered-routing oracles
     ({!Oracle.cluster_identity} and {!Oracle.clustered}) — the full
     battery is far too slow at thousands of sinks.  The summary is

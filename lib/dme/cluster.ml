@@ -135,16 +135,6 @@ let rec reglobalize (inst : Instance.t) ids (s : Subtree.t) =
           };
     }
 
-let add_trials (a : Engine.trial_stats) (b : Engine.trial_stats) =
-  Engine.
-    {
-      trial_merges = a.trial_merges + b.trial_merges;
-      cache_hits = a.cache_hits + b.cache_hits;
-      cache_misses = a.cache_misses + b.cache_misses;
-      elided_trials = a.elided_trials + b.elided_trials;
-      reused_trials = a.reused_trials + b.reused_trials;
-    }
-
 (* Component-wise sum, except [gc]: per-plan samples come from whichever
    domain ran the plan, so the aggregate instead carries the caller's
    whole-run differential (passed in by [run]). *)
@@ -159,8 +149,7 @@ let add_stats (a : Engine.stats) (b : Engine.stats) =
       planned_snake = a.planned_snake +. b.planned_snake;
       infeasible_merges = a.infeasible_merges + b.infeasible_merges;
       nn_reprobes = a.nn_reprobes + b.nn_reprobes;
-      nn_probes_saved = a.nn_probes_saved + b.nn_probes_saved;
-      trial = add_trials a.trial b.trial;
+      trial_merges = a.trial_merges + b.trial_merges;
       gc = Obs.Gcstat.zero;
     }
 
@@ -336,8 +325,7 @@ let run_arena ?(config = Engine.default) ?(trace = Obs.Trace.null)
                  ("n_sinks", Obs.Json.Int c.n_sinks);
                  ("rounds", Obs.Json.Int c.stats.Engine.rounds);
                  ("nn_reprobes", Obs.Json.Int c.stats.Engine.nn_reprobes);
-                 ( "trial_merges",
-                   Obs.Json.Int c.stats.Engine.trial.Engine.trial_merges );
+                 ("trial_merges", Obs.Json.Int c.stats.Engine.trial_merges);
                  ("planned_snake", Obs.Json.Float c.stats.Engine.planned_snake);
                  ("wall_s", Obs.Json.Float c.wall_s);
                  ("gc", Obs.Gcstat.json c.stats.Engine.gc);

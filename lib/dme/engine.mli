@@ -34,22 +34,6 @@ type config = {
       (** heavily penalize candidate pairs whose trial merge has
           mutually inconsistent shared-group constraints (Instance 2
           conflicts), merging them only as a last resort *)
-  trial_cache : bool;
-      (** avoid redundant trial {!Merge.run}s in the cost ranking:
-          cross-group probes are elided outright (an unconstrained merge
-          is always feasible with planned wire = region distance),
-          shared-group trials are memoized per candidate pair across
-          rounds, and the winning pair's committed merge reuses its own
-          trial.  Routed trees are bit-identical with the cache on or
-          off; off exists for benchmarking and as a paranoia switch *)
-  incremental : bool;
-      (** cache each subtree's nearest-neighbour proposal across merge
-          rounds and re-probe only the dirty set (subtrees whose
-          proposal a committed merge could have changed — see {!Order}).
-          Routed trees, per-sink delays and wirelength are bit-identical
-          on or off; skipped probes also skip their candidates' trial
-          merges, so trial {e counters} drop together with
-          [nn_reprobes].  Off exists for ablation benchmarks *)
   jobs : int;
       (** domains used for the per-round candidate ranking (nearest
           neighbour probes and their trial merges); 1 = fully serial.
@@ -63,22 +47,6 @@ type config = {
 
 val default : config
 
-(** Trial-merge workload of one engine run.  With the cache off,
-    [trial_merges] counts every cost-probe [Merge.run]; with it on,
-    [trial_merges = cache_misses] and the saving is
-    [elided_trials + cache_hits + reused_trials]. *)
-type trial_stats = {
-  trial_merges : int;  (** trial [Merge.run] executions performed *)
-  cache_hits : int;  (** cost probes answered from the cache *)
-  cache_misses : int;  (** cost probes that ran a fresh trial *)
-  elided_trials : int;
-      (** cross-group cost probes answered without any trial *)
-  reused_trials : int;  (** committed merges promoted from their trial *)
-}
-
-(** All-zero [trial_stats], for engines that never trial-merge (MMM). *)
-val no_trials : trial_stats
-
 type stats = {
   rounds : int;
   same_group : int;
@@ -90,14 +58,12 @@ type stats = {
       (** merges whose constraints were mutually inconsistent; their
           residual skew is fixed by {!Clocktree.Repair} *)
   nn_reprobes : int;
-      (** nearest-neighbour probes actually executed by the ranking
-          loop; with [incremental] off this is one per active subtree
-          per round *)
-  nn_probes_saved : int;
-      (** rank slots served from the cross-round proposal cache instead
-          of probing; [nn_reprobes + nn_probes_saved] is the probe count
-          a from-scratch ([incremental = false]) run executes *)
-  trial : trial_stats;
+      (** nearest-neighbour probes executed by the ranking loop: one per
+          active subtree per round *)
+  trial_merges : int;
+      (** trial {!Merge.run}s executed to rank candidates; only the
+          [cost_by_planned_wire] ablation runs any (distance-cost ranking
+          answers feasibility without building the merge) *)
   gc : Obs.Gcstat.t;
       (** GC work of the whole run (plan + embed) as seen from the
           calling domain: {!Obs.Gcstat.sample} at entry diffed against
@@ -138,8 +104,8 @@ val plan :
     manifest, wraps planning in an ["engine.plan"] span, emits one
     ["merge"] instant per committed merge, feeds committed region
     extents into the ["engine.region_extent"] histogram and appends one
-    journal record per merge round (probe/cache/trial counts, cheapest
-    committed cost, cumulative planned wire, wall time).  The default
+    journal record per merge round (probe and trial-merge counts,
+    cheapest committed cost, cumulative planned wire, wall time).  The default
     {!Obs.Trace.null} emits nothing and the routed tree and stats are
     byte-identical with tracing on or off.  An enabled [sched] recorder
     ledgers the pooled ranking/commit/embed maps (phase ["engine"]);

@@ -80,8 +80,7 @@ let run_arena ?(config = Engine.default) ?(trace = Obs.Trace.null)
         planned_snake = !planned_snake;
         infeasible_merges = !infeasible;
         nn_reprobes = 0;
-        nn_probes_saved = 0;
-        trial = Engine.no_trials;
+        trial_merges = 0;
         gc = Obs.Gcstat.diff (Obs.Gcstat.sample ()) gc0;
       } )
 

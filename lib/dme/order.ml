@@ -10,7 +10,6 @@ type config = {
   merge_fraction : float;
   knn : int;
   delay_order_weight : float;
-  incremental : bool;
 }
 
 let default =
@@ -19,7 +18,6 @@ let default =
     merge_fraction = 0.5;
     knn = 16;
     delay_order_weight = 0.;
-    incremental = true;
   }
 
 type 'note coster = {
@@ -44,25 +42,20 @@ let of_merge merge =
     install = (fun (id, a, b) -> merge ~id a b);
   }
 
-type stats = { rounds : int; nn_probes : int; nn_probes_saved : int }
+type stats = { rounds : int; nn_probes : int }
 
 type round_info = {
   round : int;
   active : int;
   probes : int;
-  cache_served : int;
   merges : int;
   best_cost : float;
   wall_s : float;
 }
 
 let c_probes = Obs.Counter.make "dme.order.nn_probes"
-let c_saved = Obs.Counter.make "dme.order.nn_probes_saved"
-let c_invalidated = Obs.Counter.make "dme.order.nn_invalidated"
-let c_inv_partner = Obs.Counter.make "dme.order.nn_inv_partner_died"
-let c_inv_rank = Obs.Counter.make "dme.order.nn_inv_rank_churn"
-let c_inv_undercut = Obs.Counter.make "dme.order.nn_inv_undercut"
-let c_uncached = Obs.Counter.make "dme.order.nn_uncacheable"
+(* Always 0: the frozen perfbench workload still reads this counter. *)
+let _c_saved = Obs.Counter.make "dme.order.nn_probes_saved"
 let c_pairs = Obs.Counter.make "dme.order.pairs_ranked"
 let c_rounds = Obs.Counter.make "dme.order.rounds"
 
@@ -80,32 +73,6 @@ let dedupe_pairs pairs =
     | [] -> List.rev acc
   in
   go [] pairs
-
-(* A best cost at or above [reach_cap inst] is an avoid-infeasible
-   penalty (see Engine, 1e9 x the instance extent): a proposal that
-   expensive is invalidated by practically any nearby insertion, so it
-   is cheaper to just re-probe its owner every round than to cache and
-   churn it.  Extent-relative like the penalty itself, so rescaled
-   layouts make identical caching decisions; a zero-extent instance
-   caches nothing (harmless — such instances are degenerate and tiny). *)
-let reach_cap inst =
-  1e8 *. Octagon.diameter (Clocktree.Instance.bbox inst)
-
-(* What the k-NN scan that produced a proposal promised about entries it
-   did not evaluate: [Exhaustive] — there were none (the scan returned
-   every eligible entry); [Kth d] — they all lie at center distance >= d
-   (the k-th candidate's distance, from {!Grid_index.k_nearest_probe});
-   [Opaque] — no bound (the endgame [Grid_index.nearest] fallback), so
-   the proposal is never cached. *)
-type scan = Exhaustive | Kth of float | Opaque
-
-(* Membership of [qid] in a candidate list, as a top-level function: the
-   undercut ball scan asks this for every entry it visits, and a
-   [List.exists] literal there would allocate a closure per visited
-   entry. *)
-let rec mem_cand qid = function
-  | (cid, _, _) :: rest -> cid = qid || mem_cand qid rest
-  | [] -> false
 
 let run_ranked ?pool ?(trace = Obs.Trace.null) ?(sched = Obs.Sched.null)
     ?on_round ?leaves (inst : Clocktree.Instance.t) config
@@ -136,8 +103,6 @@ let run_ranked ?pool ?(trace = Obs.Trace.null) ?(sched = Obs.Sched.null)
   (* A non-positive knn would make every k-NN query return [] and stall
      the pairing loop below; clamp rather than crash. *)
   let knn = Int.max 1 config.knn in
-  let incremental = config.incremental in
-  let reach_cap = reach_cap inst in
   let cell =
     let d = Octagon.diameter (Clocktree.Instance.bbox inst) in
     let raw = d /. Float.sqrt (float_of_int (Int.max 1 n)) in
@@ -167,26 +132,7 @@ let run_ranked ?pool ?(trace = Obs.Trace.null) ?(sched = Obs.Sched.null)
   let cx = Float.Array.make cap_ids Float.nan in
   let cy = Float.Array.make cap_ids Float.nan in
   let hull_hi = Float.Array.make cap_ids Float.nan in
-  (* Proposal cache, SoA: a subtree id is "dirty" exactly when its
-     [prop_partner] slot is negative.  Invalidation writes -1; merged
-     subtrees drop theirs in [delete]; fresh nodes start without one.
-     The remaining slots hold the owner's cheapest raw cost, its region
-     radius bound [rad] (L1 diameter; [Octagon.center] lies inside the
-     region, so no region point is farther than that from the center),
-     the partner's center distance [pdist] and 1-based candidate rank,
-     and a running count of nodes inserted closer than the partner since
-     the probe ([rank - 1 + closer] bounds the partner's current grid
-     rank). *)
-  let prop_partner = Array.make cap_ids (-1) in
-  let prop_cost = Float.Array.make cap_ids Float.nan in
-  let prop_rad = Float.Array.make cap_ids Float.nan in
-  let prop_pdist = Float.Array.make cap_ids Float.nan in
-  let prop_rank = Array.make cap_ids 0 in
-  let prop_closer = Array.make cap_ids 0 in
   let grid : Subtree.t Grid_index.t = Grid_index.create ~cell in
-  (* Ids inserted by the current round's commits, swept against the
-     surviving proposals at the start of the next round. *)
-  let inserted : int list ref = ref [] in
   let insert (s : Subtree.t) =
     let c = Octagon.center s.region in
     node.(s.id) <- Some s;
@@ -207,8 +153,7 @@ let run_ranked ?pool ?(trace = Obs.Trace.null) ?(sched = Obs.Sched.null)
       Grid_index.remove grid ~id (center_of id);
       node.(id) <- None;
       decr n_active
-    end;
-    prop_partner.(id) <- -1
+    end
   in
   Array.iter insert leaves;
   let next_id = ref n in
@@ -222,37 +167,30 @@ let run_ranked ?pool ?(trace = Obs.Trace.null) ?(sched = Obs.Sched.null)
      refine with the true merging cost).  Runs on worker domains during
      a parallel round: the arena, [grid] and [slab] are only read, and
      the (cost, lowest-id) argmin makes the winner independent of
-     candidate evaluation order.  Also returns the scan's exclusion
-     bound for the proposal cache. *)
+     candidate evaluation order. *)
   let nearest_neighbor ~cost (s : Subtree.t) =
     Obs.Counter.incr c_probes;
     let c = center_of s.id in
     let skip id = id = s.id in
-    let candidates, scan =
-      match Grid_index.k_nearest_probe grid ~skip c knn with
-      | [], _ ->
+    let candidates =
+      match Grid_index.k_nearest grid ~skip c knn with
+      | [] ->
         (* Endgame guard: with two or more active subtrees a probe must
            yield a partner.  The k-NN query can only come back empty for
            degenerate indices; fall back to the exhaustive nearest scan
            so the 2-subtree endgame can never report "no partner". *)
-        (match Grid_index.nearest grid ~skip c with
-         | Some e -> ([ e ], Opaque)
-         | None -> ([], Opaque))
-      | cs, Some kth -> (cs, Kth kth)
-      | cs, None -> (cs, Exhaustive)
+        Option.to_list (Grid_index.nearest grid ~skip c)
+      | cs -> cs
     in
-    let best =
-      List.fold_left
-        (fun best (_, _, (t : Subtree.t)) ->
-          let d = cost ~dist:(Octslab.dist slab s.id t.id) s t in
-          match best with
-          | Some ((bt : Subtree.t), bd)
-            when bd < d || (bd = d && bt.id < t.id) ->
-            best
-          | _ -> Some (t, d))
-        None candidates
-    in
-    (best, scan, candidates)
+    List.fold_left
+      (fun best (_, _, (t : Subtree.t)) ->
+        let d = cost ~dist:(Octslab.dist slab s.id t.id) s t in
+        match best with
+        | Some ((bt : Subtree.t), bd) when bd < d || (bd = d && bt.id < t.id)
+          ->
+          best
+        | _ -> Some (t, d))
+      None candidates
   in
   (* Deep subtrees have small delay targets; merging shallow pairs first
      (Chaturvedi-Hu) keeps depths homogeneous and avoids late merges that
@@ -292,129 +230,8 @@ let run_ranked ?pool ?(trace = Obs.Trace.null) ?(sched = Obs.Sched.null)
     done;
     Array.of_list !acc
   in
-  let invalidate id =
-    if prop_partner.(id) >= 0 then begin
-      Obs.Counter.incr c_invalidated;
-      prop_partner.(id) <- -1
-    end
-  in
-  (* Dirty-set invalidation, run at the start of each round against the
-     exact population a from-scratch probe would see.  A cached proposal
-     (p, B) of owner [s] is reused only if it is provably what a fresh
-     probe would return, i.e. the argmin by (cost, lowest id) over the
-     current k-NN candidate set is still (p, B).  The argument splits
-     over where a fresh probe's candidate could come from:
-
-     - A candidate the original probe evaluated: its cost is a pure
-       function of the immutable subtree pair, so it still loses to
-       (B, p.id).
-
-     - A node inserted since (a committed merge's node [m]): handled by
-       the per-insertion sweep below.  [m] undercuts [B] only if
-       [Octagon.dist s.region m.region < B] — the coster contract
-       [cost >= region distance] plus [m.id > p.id] losing equal-cost
-       ties makes the strict test exact — and [m] can evict [p] from the
-       k-NN set only by outranking it.  Grid candidate order is (center
-       distance, bucket arrival): an [m] strictly farther than [pdist]
-       ranks after [p]; an exact center-distance tie is invalidated
-       outright; and an insertion reshuffling bucket arrival inside
-       [p]'s cell is harmless because caching refused any proposal whose
-       partner had a same-cell distance tie (arrival across different
-       cells is fixed by ring-scan geometry).  Insertions closer than
-       [pdist] shift [p]'s rank by one each; [rank - 1 + closer < knn]
-       keeps [p] inside the k-NN set, so the proposal dies only when
-       that headroom runs out, not at the first nearby insertion.  All
-       tests are against immutable quantities, so one sweep the round
-       after the insertion covers the proposal's whole lifetime.
-
-     - A pre-existing node the probe never evaluated, promoted into the
-       k-NN set as deletions push the k-th boundary outward: it lies at
-       center distance >= the probe's exclusion bound
-       ({!Grid_index.k_nearest_probe}), which caching requires to exceed
-       [pdist] strictly — so it ranks after [p] and can never evict it —
-       and the cache-time undercut scan proved its region distance
-       exceeds [B], so its cost loses even as a k-NN member.  Regions
-       are immutable and deletions only shrink the pre-existing
-       population, so that cache-time proof needs no per-round
-       re-checking; only insertions (swept above) can create new
-       undercut risks.
-
-     - [p] itself must still be alive: the partner-death rule.
-
-     The surviving proposal is therefore exactly the fresh probe's
-     answer — the routed tree, delays and wirelength are bit-identical
-     with incremental ranking on or off.  What is NOT replayed is the
-     skipped probes' side work: their coster sessions never run, so
-     engine-side trial counters drop below the from-scratch run's.  That
-     saving is the point; see DESIGN.md section 10.  The classic
-     candidate-list-exact rule (dirty when any candidate of the list
-     died) is also sound but measurably useless under multi-merge — each
-     round consumes half the active set, so some candidate of nearly
-     every survivor dies (measured: 0 of 1083 probes saved on r1).
-
-     Every per-owner test is independent of every other owner's outcome
-     and [inserted] sweeps touch disjoint mutable slots, so the grid's
-     unspecified [iter_within] visit order cannot change the surviving
-     set. *)
-  let invalidate_stale ~alive_max_rad =
-    for oid = 0 to !next_id - 1 do
-      let pid = prop_partner.(oid) in
-      if pid >= 0 && node.(pid) = None then begin
-        Obs.Counter.incr c_inv_partner;
-        invalidate oid
-      end
-    done;
-    (* Collection radius: an owner failing any exact test below has its
-       center within [B + rad + rad_m] (undercut, via the triangle
-       inequality through both region radii) or [pdist
-       <= B + rad + rad_p] (rank churn) of [m]'s center.  [reach] bounds
-       every surviving cached [B + rad] — recomputed per round from the
-       live slots, so late-game giants whose proposals already died do
-       not inflate earlier sweeps — while [alive_max_rad] bounds the
-       radius of [m] and of any live partner.  Over-collection costs
-       scan time only — the per-owner tests are exact. *)
-    let reach = ref 0. in
-    for oid = 0 to !next_id - 1 do
-      if prop_partner.(oid) >= 0 then
-        reach :=
-          Float.max !reach
-            (Float.Array.get prop_cost oid +. Float.Array.get prop_rad oid)
-    done;
-    List.iter
-      (fun mid ->
-        let cm = center_of mid in
-        let collect = !reach +. alive_max_rad +. cell in
-        Grid_index.iter_within grid cm collect (fun oid oc _owner ->
-            if prop_partner.(oid) >= 0 && oid <> mid then begin
-              if Octslab.dist slab oid mid < Float.Array.get prop_cost oid
-              then begin
-                Obs.Counter.incr c_inv_undercut;
-                invalidate oid
-              end
-              else
-                let dm = Pt.dist oc cm in
-                let pdist = Float.Array.get prop_pdist oid in
-                if dm = pdist then begin
-                  (* [m] ties the partner's center distance; which of the
-                     two a fresh scan ranks first hangs on arrival order,
-                     so be conservative. *)
-                  Obs.Counter.incr c_inv_rank;
-                  invalidate oid
-                end
-                else if dm < pdist then begin
-                  prop_closer.(oid) <- prop_closer.(oid) + 1;
-                  if prop_rank.(oid) - 1 + prop_closer.(oid) >= knn then begin
-                    Obs.Counter.incr c_inv_rank;
-                    invalidate oid
-                  end
-                end
-            end))
-      !inserted;
-    inserted := []
-  in
   let rounds = ref 0 in
-  let reprobed = ref 0 in
-  let saved = ref 0 in
+  let probed = ref 0 in
   let rec loop () =
     let count = !n_active in
     if count = 1 then begin
@@ -430,147 +247,41 @@ let run_ranked ?pool ?(trace = Obs.Trace.null) ?(sched = Obs.Sched.null)
       (* Wall time is read only when a round observer is installed, so
          the untraced run does not even touch the clock per round. *)
       let t0 = if on_round <> None then Obs.Timer.now () else 0. in
-      let saved0 = !saved in
       (* Rank in three strictly separated phases so the routed tree is
-         bit-identical for any jobs count: (1) probe every stale active
-         subtree against the frozen grid state — in parallel chunks when
-         a pool is given — while clean subtrees reuse their cached
-         proposal; (2) absorb the probes' side results on this domain in
+         bit-identical for any jobs count: (1) probe every active subtree
+         against the frozen grid state — in parallel chunks when a pool
+         is given; (2) absorb the probes' side results on this domain in
          snapshot (ascending-id) order; (3) sort, dedupe and select a
          disjoint pair prefix, compute the selected merges — in parallel
          when a pool is given; [merger.compute] must be pure — and
-         install them serially in selection order.  With [incremental]
-         off every subtree counts as stale and the round degenerates to
-         the from-scratch scan. *)
+         install them serially in selection order. *)
       let round_body () =
         let snap = snapshot () in
-        (* Largest region radius among this round's population: bounds the
-           unknown region radius of any node a triangle-inequality ball
-           must cover, both in the invalidation sweep and in the
-           cache-time undercut scan. *)
-        let alive_max_rad =
-          if not incremental then 0.
-          else
-            Array.fold_left
-              (fun m (s : Subtree.t) -> Float.max m (Octslab.diameter slab s.id))
-              0. snap
-        in
-        if incremental then invalidate_stale ~alive_max_rad;
-        let stale (s : Subtree.t) =
-          (not incremental) || prop_partner.(s.id) < 0
-        in
-        let todo =
-          if incremental then
-            Array.of_seq (Seq.filter stale (Array.to_seq snap))
-          else snap
-        in
         let probes =
           let run_probes () =
             match pool with
             | Some pool ->
-              Par.Pool.map_chunked pool ~sched ~label:"engine.rank" probe todo
-            | None -> Array.map probe todo
+              Par.Pool.map_chunked pool ~sched ~label:"engine.rank" probe snap
+            | None -> Array.map probe snap
           in
           if tracing then
             Obs.Trace.span trace ~cat:"dme.order"
-              ~args:[ ("stale", Obs.Json.Int (Array.length todo)) ]
+              ~args:[ ("probes", Obs.Json.Int (Array.length snap)) ]
               "probe_phase" run_probes
           else run_probes ()
         in
-        reprobed := !reprobed + Array.length todo;
+        probed := !probed + Array.length snap;
         let pairs = ref [] in
-        let ti = ref 0 in
-        Array.iter
-          (fun (s : Subtree.t) ->
-            let best =
-              if stale s then begin
-                let (best, scan, cands), note = probes.(!ti) in
-                incr ti;
-                coster.absorb note;
-                (match (h_cost, best) with
-                 | Some h, Some (_, d) -> Obs.Histogram.observe h d
-                 | _ -> ());
-                if incremental then
-                  (match best with
-                   | Some (t, d) when d < reach_cap ->
-                     let c_s = center_of s.id in
-                     let c_t = center_of t.id in
-                     let pdist = Pt.dist c_s c_t in
-                     let rad = Octslab.diameter slab s.id in
-                     (* Cache-time undercut scan: the proposal is cached
-                        only if every alive node the probe did not
-                        evaluate has region distance > B from the owner,
-                        so no later promotion into the k-NN set can beat
-                        or tie the cached best (ties are excluded because
-                        a pre-existing node may hold a lower id than the
-                        partner and would win one).  Any such node's
-                        center lies within [B + rad + alive_max_rad] of
-                        the owner's; regions are immutable, so this holds
-                        for the proposal's whole life and only insertions
-                        (swept each round) can break it. *)
-                     let cacheable =
-                       (match scan with
-                        | Exhaustive -> true
-                        | Kth dk -> pdist < dk
-                        | Opaque -> false)
-                       (* Same-cell tie guard: a candidate in the
-                          partner's grid cell at exactly the partner's
-                          distance ranks against it by bucket arrival
-                          order, which any later insertion into that cell
-                          may reshuffle (Hashtbl resize).  Cross-cell
-                          ties rank by ring-scan geometry and entries the
-                          scan excluded lie at distance >= dk > pdist, so
-                          only candidates in the partner's own cell can
-                          flip. *)
-                       && (let pcell = Grid_index.cell_of grid c_t in
-                           not
-                             (List.exists
-                                (fun (cid, cpt, _) ->
-                                  cid <> t.id
-                                  && Pt.dist c_s cpt = pdist
-                                  && Grid_index.cell_of grid cpt = pcell)
-                                cands))
-                       &&
-                       let ball = d +. rad +. alive_max_rad +. cell in
-                       Grid_index.for_all_within grid c_s ball
-                         (fun qid _ (_ : Subtree.t) ->
-                           qid = s.id || mem_cand qid cands
-                           || Octslab.dist slab s.id qid > d)
-                     in
-                     if cacheable then begin
-                       let rank =
-                         let rec go i = function
-                           | (cid, _, _) :: rest ->
-                             if cid = t.id then i else go (i + 1) rest
-                           | [] -> assert false
-                         in
-                         go 1 cands
-                       in
-                       prop_partner.(s.id) <- t.Subtree.id;
-                       Float.Array.set prop_cost s.id d;
-                       Float.Array.set prop_rad s.id rad;
-                       Float.Array.set prop_pdist s.id pdist;
-                       prop_rank.(s.id) <- rank;
-                       prop_closer.(s.id) <- 0
-                     end
-                     else Obs.Counter.incr c_uncached
-                   | _ -> Obs.Counter.incr c_uncached);
-                best
-              end
-              else begin
-                let t =
-                  match node.(prop_partner.(s.id)) with
-                  | Some t -> t
-                  | None -> assert false (* dead partners were swept *)
-                in
-                incr saved;
-                Obs.Counter.incr c_saved;
-                Some (t, Float.Array.get prop_cost s.id)
-              end
-            in
+        Array.iteri
+          (fun k (s : Subtree.t) ->
+            let best, note = probes.(k) in
+            coster.absorb note;
             match best with
             | None -> ()
             | Some ((t : Subtree.t), d) ->
+              (match h_cost with
+               | Some h -> Obs.Histogram.observe h d
+               | None -> ());
               let i = Int.min s.Subtree.id t.id and j = Int.max s.Subtree.id t.id in
               pairs := (biased s t d, i, j) :: !pairs)
           snap;
@@ -664,8 +375,7 @@ let run_ranked ?pool ?(trace = Obs.Trace.null) ?(sched = Obs.Sched.null)
               let s = merger.install computed.(k) in
               delete i;
               delete j;
-              insert s;
-              if incremental then inserted := s.Subtree.id :: !inserted)
+              insert s)
             sels
         in
         if tracing then
@@ -673,7 +383,7 @@ let run_ranked ?pool ?(trace = Obs.Trace.null) ?(sched = Obs.Sched.null)
             ~args:[ ("candidates", Obs.Json.Int (List.length pairs)) ]
             "commit_phase" commit_phase
         else commit_phase ();
-        (Array.length todo, !merged, !best_cost)
+        (Array.length snap, !merged, !best_cost)
       in
       let probes_run, merges_done, best_cost =
         if tracing then
@@ -691,7 +401,6 @@ let run_ranked ?pool ?(trace = Obs.Trace.null) ?(sched = Obs.Sched.null)
              round = !rounds;
              active = count;
              probes = probes_run;
-             cache_served = !saved - saved0;
              merges = merges_done;
              best_cost;
              wall_s = Float.max 0. (Obs.Timer.now () -. t0);
@@ -700,7 +409,7 @@ let run_ranked ?pool ?(trace = Obs.Trace.null) ?(sched = Obs.Sched.null)
     end
   in
   let root = loop () in
-  (root, { rounds = !rounds; nn_probes = !reprobed; nn_probes_saved = !saved })
+  (root, { rounds = !rounds; nn_probes = !probed })
 
 let run inst config ~cost ~merge =
   run_ranked inst config ~coster:(of_cost cost) ~merger:(of_merge merge)

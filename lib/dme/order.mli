@@ -12,31 +12,8 @@
     so the selected merges — and hence the routed tree — are bit-identical
     for any jobs count.
 
-    With [incremental] ranking (the default) each subtree's (partner,
-    cost) proposal is cached across rounds and invalidated by exact
-    per-proposal tests (the dirty set): the partner died in a committed
-    merge; a newly inserted node's region distance undercuts the cached
-    cost (so it could win the argmin); or insertions erode the partner's
-    candidate rank past the [knn] horizon (tracked with a per-proposal
-    counter; exact center-distance ties invalidate conservatively).  A
-    proposal is cached in the first place only when the probe's k-NN
-    exclusion bound and a one-time undercut scan prove that every node
-    the probe never evaluated both ranks after the partner and costs
-    more than the cached best — the full soundness argument lives next
-    to [invalidate_stale] in the implementation and in DESIGN.md
-    section 10.  Clean subtrees reuse their cached best pair, which is
-    provably the pair a from-scratch probe would select, so the routed
-    tree, per-sink delays and wirelength stay bit-identical with
-    [incremental] on or off, for every jobs count.  Trial-merge
-    {e counters} may drop below the from-scratch run's (skipped probes
-    never evaluate candidates that could not win); that saving is the
-    point.
-
-    Incremental ranking relies on the coster lower bound
-    [cost a b >= Octagon.dist a.region b.region] (every in-tree cost —
-    region distance, planned wire, distance + infeasibility penalty —
-    satisfies it).  Costers that violate the bound must route with
-    [incremental = false]. *)
+    Every active subtree is re-probed every round; DESIGN.md section 10
+    explains why there is no cross-round proposal cache. *)
 
 type config = {
   multi_merge : bool;
@@ -47,9 +24,6 @@ type config = {
   delay_order_weight : float;
       (** layout units per ps: sorts deeper (slower) subtrees earlier;
           0 disables the delay-target enhancement *)
-  incremental : bool;
-      (** cache proposals across rounds with dirty-set invalidation;
-          default on.  Off = re-probe every active subtree each round. *)
 }
 
 val default : config
@@ -58,12 +32,10 @@ val default : config
     nearest-neighbour probe — on a worker domain during parallel rounds —
     and returns the cost function for that probe plus a finisher whose
     ['note] carries any side results the probe produced (for the DME
-    engine: freshly executed trial merges and cache-counter deltas).
-    The cost function must not mutate shared state; [absorb] is called
-    for every executed probe's note on the calling domain, in ascending
-    subtree-id order, before any merge of the round is committed.
-    Subtrees whose cached proposal is reused run no session and absorb
-    nothing. *)
+    engine: the number of trial merges it ran).  The cost function must
+    not mutate shared state; [absorb] is called for every probe's note on
+    the calling domain, in ascending subtree-id order, before any merge
+    of the round is committed. *)
 type 'note coster = {
   session :
     unit -> (dist:float -> Subtree.t -> Subtree.t -> float) * (unit -> 'note);
@@ -75,8 +47,8 @@ type 'note coster = {
     so it must not mutate shared state (reading state that is frozen for
     the duration of the round's commit phase is fine).  [install] runs
     on the calling domain, in selection order, and returns the merged
-    subtree the ranking loop inserts; side effects (statistics, cache
-    eviction, tracing) belong here. *)
+    subtree the ranking loop inserts; side effects (statistics, tracing)
+    belong here. *)
 type 'merge merger = {
   compute : id:int -> Subtree.t -> Subtree.t -> 'merge;
   install : 'merge -> Subtree.t;
@@ -95,15 +67,12 @@ val of_merge :
 
 (** Ranking-loop statistics.  [nn_probes] counts executed
     nearest-neighbour probes (each runs one coster session over up to
-    [knn] candidates); [nn_probes_saved] counts the rank slots served
-    from the cross-round proposal cache instead.  Their sum is the probe
-    count a from-scratch run would have executed. *)
-type stats = { rounds : int; nn_probes : int; nn_probes_saved : int }
+    [knn] candidates): one per active subtree per round. *)
+type stats = { rounds : int; nn_probes : int }
 
 (** One completed merge round, as reported to the [?on_round] observer
     of {!run_ranked}: 1-based [round] index, [active] subtree count at
-    the round's start, executed probe count ([probes]) and rank slots
-    served from the proposal cache ([cache_served]) this round, merges
+    the round's start, executed probe count ([probes]), merges
     committed, the cheapest committed pair's biased cost ([infinity]
     when only the degenerate fallback merge ran) and the round's wall
     time in seconds (clamped non-negative). *)
@@ -111,7 +80,6 @@ type round_info = {
   round : int;
   active : int;
   probes : int;
-  cache_served : int;
   merges : int;
   best_cost : float;
   wall_s : float;

@@ -1,6 +1,6 @@
 type 'a entry = { pt : Pt.t; value : 'a }
 
-(* Query instrumentation: queries = nearest/k_nearest/within calls,
+(* Query instrumentation: queries = nearest/k_nearest calls,
    rings/cells/entries = work done by the ring scans those queries run. *)
 let c_queries = Obs.Counter.make "geometry.grid.queries"
 let c_rings = Obs.Counter.make "geometry.grid.rings_scanned"
@@ -15,7 +15,7 @@ let c_entries = Obs.Counter.make "geometry.grid.entries_scanned"
    allocates its internal traversal closure on every call, which at one
    call per visited occupied cell dominated the query-path allocation.
    Entries iterate in insertion order (removal shifts, preserving it),
-   which fixes distance-tie arrival order in [k_nearest_probe]. *)
+   which fixes distance-tie arrival order in [k_nearest]. *)
 type 'a bucket = {
   mutable ids : int array;
   mutable ents : 'a entry array;
@@ -89,7 +89,6 @@ let decr_row t gy =
 
 let[@inline] gx_of t (p : Pt.t) = int_of_float (Float.floor (p.x /. t.cell))
 let[@inline] gy_of t (p : Pt.t) = int_of_float (Float.floor (p.y /. t.cell))
-let cell_of t p = (gx_of t p, gy_of t p)
 
 let add t ~id p v =
   let gx = gx_of t p and gy = gy_of t p in
@@ -132,11 +131,7 @@ let size t = t.count
    [ceil (best / cell) + 1], which bounds the scan; the bounding box of
    occupied cells bounds it even when the caller's stop condition never
    fires (e.g. fewer entries than requested). *)
-(* Returns the first ring NOT visited, so callers can tell whether the
-   scan ended because [stop] fired (the ring-distance bound subsumed the
-   remaining cells) or because the occupied bounding box ran out — the
-   distinction drives the probe invalidation radius below. *)
-let fold_rings t (p : Pt.t) ~stop f =
+let iter_rings t (p : Pt.t) ~stop f =
   let cx = gx_of t p and cy = gy_of t p in
   (* max over occupied cells of max (|dx|, |dy|) equals
      max (max |dx| over occupied columns, max |dy| over occupied rows):
@@ -172,8 +167,7 @@ let fold_rings t (p : Pt.t) ~stop f =
     | col -> visit_col col gy
   in
   let rec ring r =
-    if r > max_ring || stop r then r
-    else begin
+    if r <= max_ring && not (stop r) then begin
       Obs.Counter.incr c_rings;
       if r = 0 then visit cx cy
       else begin
@@ -211,27 +205,26 @@ let nearest t ?(skip = fun _ -> false) p =
          hence at least that far in L1. *)
       !best_id >= 0 && float_of_int (r - 1) *. t.cell > !best_dist
     in
-    ignore
-      (fold_rings t p ~stop (fun id e ->
-           if not (skip id) then begin
-             (* L1 distance written out: see [k_nearest_probe]. *)
-             let q = e.pt in
-             let d =
-               Float.abs (p.Pt.x -. q.Pt.x) +. Float.abs (p.Pt.y -. q.Pt.y)
-             in
-             if d < !best_dist then begin
-               best_dist := d;
-               best_id := id;
-               best_pt := e.pt;
-               best_value := Some e.value
-             end
-           end));
+    iter_rings t p ~stop (fun id e ->
+        if not (skip id) then begin
+          (* L1 distance written out: see [k_nearest]. *)
+          let q = e.pt in
+          let d =
+            Float.abs (p.Pt.x -. q.Pt.x) +. Float.abs (p.Pt.y -. q.Pt.y)
+          in
+          if d < !best_dist then begin
+            best_dist := d;
+            best_id := id;
+            best_pt := e.pt;
+            best_value := Some e.value
+          end
+        end);
     match !best_value with
     | None -> None
     | Some v -> Some (!best_id, !best_pt, v)
   end
 
-(* Per-domain heap scratch for [k_nearest_probe].  The entry array stays
+(* Per-domain heap scratch for [k_nearest].  The entry array stays
    per-call (it is polymorphic in the index's value type); the numeric
    arrays are monomorphic and reused across queries.  Safe because the
    scan's callbacks ([skip]) never re-enter the query path. *)
@@ -244,9 +237,9 @@ type knn_scratch = {
 let knn_scratch_key =
   Domain.DLS.new_key (fun () -> { khd = [||]; khs = [||]; khid = [||] })
 
-let k_nearest_probe t ?(skip = fun _ -> false) p k =
+let k_nearest t ?(skip = fun _ -> false) p k =
   Obs.Counter.incr c_queries;
-  if t.count = 0 || k <= 0 then ([], None)
+  if t.count = 0 || k <= 0 then []
   else begin
     (* Bounded selection: a binary max-heap keeps the k best candidates
        seen so far, ordered by (distance, arrival) — O(log k) per
@@ -346,20 +339,7 @@ let k_nearest_probe t ?(skip = fun _ -> false) p k =
       end
     in
     let stop r = !size = k && float_of_int (r - 1) *. t.cell > hd.(0) in
-    let ended =
-      fold_rings t p ~stop (fun id e -> if not (skip id) then offer id e)
-    in
-    (* Exclusion bound.  When the heap filled ([size = k]) every eligible
-       entry left out of the result was either rejected by the heap —
-       only possible at distance >= the running k-th distance, which
-       never grows — or never offered because the ring scan stopped, i.e.
-       its ring satisfied (r - 1) * cell > kth.  Either way it lies at L1
-       distance >= the final k-th distance from [p].  A heap that never
-       filled accepted every eligible offer, and [fold_rings] visits the
-       whole occupied bounding box unless [stop] fires, so the result is
-       exhaustive and no entry was excluded at all. *)
-    ignore ended;
-    let radius = if !size = k then Some hd.(0) else None in
+    iter_rings t p ~stop (fun id e -> if not (skip id) then offer id e);
     (* Pop the heap worst-first, prepending: (distance, arrival) keys are
        unique (arrival stamps are), so the pop order is the unique total
        order by descending (d, earliest-arrival-on-ties) and prepending
@@ -380,47 +360,5 @@ let k_nearest_probe t ?(skip = fun _ -> false) p k =
         sift_down 0
       end
     done;
-    (!entries, radius)
+    !entries
   end
-
-let k_nearest t ?skip p k = fst (k_nearest_probe t ?skip p k)
-
-let iter_within t p r f =
-  Obs.Counter.incr c_queries;
-  (* A negative radius can match nothing and an empty index has nothing
-     to scan; bail out before fold_rings walks rings for free. *)
-  if t.count = 0 || r < 0. then ()
-  else begin
-    let stop ring = float_of_int (ring - 1) *. t.cell > r in
-    ignore
-      (fold_rings t p ~stop (fun id e ->
-           (* L1 distance written out: see [k_nearest_probe]. *)
-           let q = e.pt in
-           if Float.abs (p.Pt.x -. q.Pt.x) +. Float.abs (p.Pt.y -. q.Pt.y) <= r
-           then f id q e.value))
-  end
-
-let within t p r =
-  let acc = ref [] in
-  iter_within t p r (fun id pt v -> acc := (id, pt, v) :: !acc);
-  !acc
-
-let for_all_within t p r f =
-  let ok = ref true in
-  (* No early abort: the ball scan is already bounded by [r], and keeping
-     a single full-scan code path means the visit counters (and thus the
-     traced workload) do not depend on which entry fails first. *)
-  iter_within t p r (fun id pt v -> if not (f id pt v) then ok := false);
-  !ok
-
-let iter t f =
-  Hashtbl.iter
-    (fun _ col ->
-      Hashtbl.iter
-        (fun _ b ->
-          for i = 0 to b.blen - 1 do
-            let e = b.ents.(i) in
-            f b.ids.(i) e.pt e.value
-          done)
-        col)
-    t.cols

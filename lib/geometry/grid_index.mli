@@ -30,35 +30,3 @@ val nearest : 'a t -> ?skip:(int -> bool) -> Pt.t -> (int * Pt.t * 'a) option
     increasing L1 point distance. *)
 val k_nearest :
   'a t -> ?skip:(int -> bool) -> Pt.t -> int -> (int * Pt.t * 'a) list
-
-(** [k_nearest_probe t ?skip p k] is {!k_nearest} plus the query's
-    {e exclusion bound}: [Some d] promises that every eligible entry
-    {e not} in the returned list lies at L1 distance >= [d] (the k-th
-    candidate's distance) from [p] — the lower bound the DME incremental
-    ranking needs to prove that entries it never evaluated cannot beat a
-    cached proposal.  [None] means the scan was exhaustive: the list
-    contains {e every} eligible entry, so nothing was excluded. *)
-val k_nearest_probe :
-  'a t -> ?skip:(int -> bool) -> Pt.t -> int -> (int * Pt.t * 'a) list * float option
-
-(** [cell_of t p] is the grid-cell key of point [p] — exposed so callers
-    tracking cached query results can detect mutations landing in a
-    specific entry's cell (same-cell bucket churn may reorder distance
-    ties, see {!k_nearest_probe}). *)
-val cell_of : 'a t -> Pt.t -> int * int
-
-(** All entries within L1 distance [r] of [p].  A negative [r] or an
-    empty index returns [[]] without scanning. *)
-val within : 'a t -> Pt.t -> float -> (int * Pt.t * 'a) list
-
-(** [iter_within t p r f] applies [f] to every entry within L1 distance
-    [r] of [p], without materializing the {!within} list.  Visit order is
-    unspecified; callers must be order-insensitive. *)
-val iter_within : 'a t -> Pt.t -> float -> (int -> Pt.t -> 'a -> unit) -> unit
-
-(** [for_all_within t p r f] is [List.for_all f (within t p r)] without
-    the list.  The scan is {e not} cut short by a failing entry, so the
-    grid visit counters do not depend on which entry fails. *)
-val for_all_within : 'a t -> Pt.t -> float -> (int -> Pt.t -> 'a -> bool) -> bool
-
-val iter : 'a t -> (int -> Pt.t -> 'a -> unit) -> unit

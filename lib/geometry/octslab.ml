@@ -1,8 +1,8 @@
 (* Flat structure-of-arrays storage for canonical octagons: 8 float
    bounds per slot in one [floatarray], indexed by an integer id.  The
-   merge-ranking hot loops read region distances and diameters millions
-   of times per run; keeping the bounds unboxed and contiguous makes
-   those kernels allocation-free and cache-friendly, where the boxed
+   merge-ranking hot loops read region distances millions of times per
+   run; keeping the bounds unboxed and contiguous makes that kernel
+   allocation-free and cache-friendly, where the boxed
    [Octagon.t] representation costs a pointer chase and a variant test
    per access. *)
 
@@ -102,11 +102,3 @@ let[@inline] dist t i j =
       (Float.Array.unsafe_get d (a + o_dl) -. Float.Array.unsafe_get d (b + o_dh))
   in
   Float.max 0. g
-
-(* Mirrors Octagon.diameter: larger of the two rotated extents. *)
-let[@inline] diameter t i =
-  let d = t.data in
-  let base = 8 * i in
-  Float.max
-    (Float.Array.unsafe_get d (base + o_sh) -. Float.Array.unsafe_get d (base + o_sl))
-    (Float.Array.unsafe_get d (base + o_dh) -. Float.Array.unsafe_get d (base + o_dl))

@@ -2,9 +2,9 @@
 
     A slab holds 8 float bounds per slot (the {!Octagon.bounds} fields,
     in declaration order) in one contiguous [floatarray], indexed by an
-    integer id.  It backs the DME merge-ranking arena: the hot kernels
-    ({!dist}, {!diameter}) read the bounds unboxed and allocate nothing,
-    and are bit-identical to their {!Octagon} counterparts — the slab is
+    integer id.  It backs the DME merge-ranking arena: the hot kernel
+    ({!dist}) reads the bounds unboxed and allocates nothing, and is
+    bit-identical to its {!Octagon} counterpart — the slab is
     a storage change, never a semantic one.
 
     Writers are single-domain; concurrent {e reads} (parallel ranking
@@ -36,7 +36,3 @@ val get : t -> int -> Octagon.t
 (** [dist t i j] is [Octagon.dist (get t i) (get t j)], bit for bit,
     without allocating. *)
 val dist : t -> int -> int -> float
-
-(** [diameter t i] is [Octagon.diameter (get t i)], bit for bit, without
-    allocating. *)
-val diameter : t -> int -> float

@@ -127,10 +127,10 @@ let test_json_of_result_probe_counters () =
   match field "engine" json with
   | None -> Alcotest.fail "missing engine object"
   | Some engine ->
-    (match (field "nn_reprobes" engine, field "nn_probes_saved" engine) with
-     | Some (Obs.Json.Int reprobes), Some (Obs.Json.Int saved) ->
+    (match (field "nn_reprobes" engine, field "trial_merges" engine) with
+     | Some (Obs.Json.Int reprobes), Some (Obs.Json.Int trials) ->
        Alcotest.(check int) "nn_reprobes" r.engine.nn_reprobes reprobes;
-       Alcotest.(check int) "nn_probes_saved" r.engine.nn_probes_saved saved;
+       Alcotest.(check int) "trial_merges" r.engine.trial_merges trials;
        Alcotest.(check bool) "probes were executed" true (reprobes > 0)
      | _ -> Alcotest.fail "missing or non-int probe counters")
 
@@ -185,10 +185,7 @@ let test_trace_identity () =
         traced.engine.nn_reprobes (sum "probes");
       Alcotest.(check int)
         (Printf.sprintf "journal trial merges sum (jobs=%d)" jobs)
-        traced.engine.trial.trial_merges (sum "trial_merges");
-      Alcotest.(check int)
-        (Printf.sprintf "journal cache hits sum (jobs=%d)" jobs)
-        traced.engine.trial.cache_hits (sum "trial_cache_hits");
+        traced.engine.trial_merges (sum "trial_merges");
       Alcotest.(check bool)
         (Printf.sprintf "trace captured spans (jobs=%d)" jobs)
         true

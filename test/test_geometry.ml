@@ -411,9 +411,7 @@ let test_grid_basic () =
   Alcotest.(check int) "size after remove" 2 (Grid_index.size g);
   let near2 = Grid_index.k_nearest g (pt 1. 1.) 2 in
   Alcotest.(check (list int)) "k_nearest order" [ 1; 2 ]
-    (List.map (fun (id, _, _) -> id) near2);
-  let w = Grid_index.within g (pt 0. 0.) 50. in
-  Alcotest.(check int) "within radius" 1 (List.length w)
+    (List.map (fun (id, _, _) -> id) near2)
 
 let prop_grid_matches_linear_scan =
   let gen =
@@ -486,40 +484,9 @@ let prop_grid_k_nearest_matches_brute_force =
          = expect_n
       && List.for_all (fun (id, _, _) -> not (skip id)) got)
 
-let test_grid_probe_semantics () =
-  let g = Grid_index.create ~cell:10. in
-  Grid_index.add g ~id:1 (pt 0. 0.) ();
-  Grid_index.add g ~id:2 (pt 5. 0.) ();
-  Grid_index.add g ~id:3 (pt 40. 0.) ();
-  (* k below the population: the heap fills, so the probe must report the
-     k-th distance as its exclusion bound. *)
-  (match Grid_index.k_nearest_probe g (pt 0. 0.) 2 with
-   | [ (a, _, _); (b, _, _) ], Some bound ->
-     Alcotest.(check (list int)) "k=2 order" [ 1; 2 ] [ a; b ];
-     Alcotest.(check (float 1e-9)) "k=2 bound is kth distance" 5. bound
-   | _ -> Alcotest.fail "expected 2 entries with a bound");
-  (* k above the population: the heap can never fill, the scan is
-     exhaustive and no bound is reported.  (At k = population the heap
-     does fill and a — vacuously sound — bound comes back.) *)
-  (match Grid_index.k_nearest_probe g (pt 0. 0.) 4 with
-   | entries, None -> Alcotest.(check int) "k=4 exhaustive" 3 (List.length entries)
-   | _, Some _ -> Alcotest.fail "exhaustive scan must not report a bound");
-  (* Negative radius matches nothing (and must not ring-scan forever). *)
-  Alcotest.(check int) "negative within" 0
-    (List.length (Grid_index.within g (pt 0. 0.) (-1.)));
-  (* cell_of: same cell iff floor-quantized coordinates agree. *)
-  Alcotest.(check bool) "same cell" true
-    (Grid_index.cell_of g (pt 1. 1.) = Grid_index.cell_of g (pt 9. 9.));
-  Alcotest.(check bool) "different cell" false
-    (Grid_index.cell_of g (pt 1. 1.) = Grid_index.cell_of g (pt 11. 1.))
-
 (* Churn property: a random interleaving of adds, removes and queries
    must agree with a brute-force mirror at every step — the index may
-   never decay under mutation (bucket resize, cell emptying, re-adds).
-   Also checks the k_nearest_probe exclusion-bound contract that the DME
-   incremental ranking depends on: [Some d] means every eligible entry
-   not returned lies at distance >= d; [None] means nothing was left
-   out. *)
+   never decay under mutation (bucket resize, cell emptying, re-adds). *)
 let prop_grid_churn =
   let gen =
     QCheck.Gen.(
@@ -583,9 +550,9 @@ let prop_grid_churn =
                check (Float.abs (Pt.dist p q -. d) <= 1e-9)
              | None, [] -> ()
              | _ -> check false)
-          | 7 | 8 ->
+          | _ ->
             let k = 1 + (x mod 8) in
-            let got, bound = Grid_index.k_nearest_probe g p k in
+            let got = Grid_index.k_nearest g p k in
             let b = brute p in
             let expect_n = Int.min k (List.length b) in
             check (List.length got = expect_n);
@@ -594,25 +561,7 @@ let prop_grid_churn =
                 match List.nth_opt b i with
                 | Some (_, d) -> check (Float.abs (Pt.dist p q -. d) <= 1e-9)
                 | None -> check false)
-              got;
-            let returned = List.map (fun (id, _, _) -> id) got in
-            (match bound with
-             | Some d ->
-               (* every eligible entry left out lies at distance >= d *)
-               List.iter
-                 (fun (id, dist) ->
-                   if not (List.mem id returned) then check (dist >= d -. 1e-9))
-                 b
-             | None ->
-               (* exhaustive: nothing was left out *)
-               check (List.length got = List.length b))
-          | _ ->
-            let r = Float.abs p.Pt.x in
-            let got = Grid_index.within g p r in
-            let expect =
-              List.filter (fun (_, d) -> d <= r) (brute p) |> List.length
-            in
-            check (List.length got = expect))
+              got)
         ops;
       !ok)
 
@@ -672,7 +621,6 @@ let () =
           ] );
       ( "grid-index",
         Alcotest.test_case "basic operations" `Quick test_grid_basic
-        :: Alcotest.test_case "probe semantics" `Quick test_grid_probe_semantics
         :: qsuite
              [
                prop_grid_matches_linear_scan;
