@@ -257,18 +257,25 @@ let route_cmd =
                  (fun m (c : Dme.Cluster.cluster_stats) -> Int.max m c.n_sinks)
                  0 d.Dme.Cluster.per_cluster)
           | None -> ());
-         (match svg with
-          | Some path ->
-            Clocktree.Svg.write_file path inst r.routed;
-            Format.printf "wrote %s@." path
-          | None -> ());
+         let svg_code =
+           match svg with
+           | Some path -> (
+             try
+               Clocktree.Svg.write_file path inst r.routed;
+               Format.printf "wrote %s@." path;
+               0
+             with Sys_error e ->
+               Format.eprintf "astroute: cannot write svg: %s@." e;
+               1)
+           | None -> 0
+         in
          let trace_code = write_trace_files ~trace_file ~journal_file trace in
          let stats_code =
            match stats_json with
            | Some path -> write_stats_json path [ (name, r) ]
            | None -> 0
          in
-         Int.max trace_code stats_code
+         Int.max svg_code (Int.max trace_code stats_code)
       end
   in
   let term =

@@ -132,7 +132,14 @@ let run_ranked ?pool ?(trace = Obs.Trace.null) ?(sched = Obs.Sched.null)
   let cx = Float.Array.make cap_ids Float.nan in
   let cy = Float.Array.make cap_ids Float.nan in
   let hull_hi = Float.Array.make cap_ids Float.nan in
-  let grid : Subtree.t Grid_index.t = Grid_index.create ~cell in
+  (* The instance bbox is the grid's dense extent: its cell count is
+     O(n) for the cell above, and centers outside it stay exact. *)
+  let extent =
+    Option.map
+      (fun (b : Octagon.bounds) -> (Pt.make b.xl b.yl, Pt.make b.xh b.yh))
+      (Octagon.bounds (Clocktree.Instance.bbox inst))
+  in
+  let grid : Subtree.t Grid_index.t = Grid_index.create ?extent ~cell () in
   let insert (s : Subtree.t) =
     let c = Octagon.center s.region in
     node.(s.id) <- Some s;

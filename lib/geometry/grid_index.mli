@@ -7,9 +7,13 @@
 
 type 'a t
 
-(** [create ~cell] builds an empty index with square cells of side
-    [cell] (> 0). *)
-val create : cell:float -> 'a t
+(** [create ?extent ~cell ()] builds an empty index with square cells of
+    side [cell] (> 0).  The cells covering [extent] (lower-left and
+    upper-right corners) are laid out densely, one slot per cell, so the
+    caller sizes [cell] to keep that count O(entries); points outside it
+    are indexed exactly in a sparse table.  Answers never depend on
+    [extent], only their cost does. *)
+val create : ?extent:Pt.t * Pt.t -> cell:float -> unit -> 'a t
 
 (** [add t ~id p v] indexes value [v] under [id] at point [p].  An
     existing entry with the same [id] must be removed first. *)

@@ -1,12 +1,17 @@
 (** Named monotonic counters.
 
     Counters are created once at module-initialization time (they
-    register themselves in a global registry) and bumped from hot paths;
-    a bump is a single atomic fetch-and-add, cheap enough for
-    per-candidate instrumentation inside the routing kernels and safe to
-    issue concurrently from worker domains (increments are never lost,
-    so totals are scheduling-independent).  {!Report.snapshot} collects
-    every registered counter. *)
+    register themselves in a global registry) and bumped from hot paths.
+    A bump is a single atomic fetch-and-add, safe to issue concurrently
+    from worker domains (increments are never lost, so totals are
+    scheduling-independent).  {!Report.snapshot} collects every
+    registered counter.
+
+    Hot-loop rule: {!incr} is an atomic read-modify-write on a cache
+    line shared by every domain, so it is not free inside an inner loop
+    and it serializes domains that bump the same counter.  An inner loop
+    that may run on a worker domain counts in a local and calls {!add}
+    once when it finishes (as [Geometry.Grid_index] does per query). *)
 
 type t
 
@@ -17,6 +22,9 @@ val make : string -> t
 
 val name : t -> string
 val incr : t -> unit
+
+(** [add c k] adds [k] in one atomic step: the way to publish a count
+    kept in a local. *)
 val add : t -> int -> unit
 val value : t -> int
 

@@ -222,6 +222,31 @@ let test_trace_router_manifest () =
       ("mmm_dme", fun ~trace inst -> Astskew.Router.mmm_dme ~trace inst);
     ]
 
+(* Grid queries count their work in locals and publish it once per
+   query, so parallel probes must lose no increment: r3 at jobs 1 and at
+   jobs 4 runs the same queries and must report the same grid work. *)
+let test_grid_counters_across_jobs () =
+  let spec = Option.get (Workload.Circuits.find "r3") in
+  let inst =
+    Workload.Circuits.instance spec ~n_groups:8
+      ~scheme:Workload.Partition.Intermingled ~bound:10. ()
+  in
+  let grid_work jobs =
+    Obs.Report.reset ();
+    ignore (Astskew.Router.ast_dme ~jobs inst);
+    List.map
+      (fun n ->
+        let name = "geometry.grid." ^ n in
+        (name, Obs.Counter.value (Option.get (Obs.Counter.find name))))
+      [ "queries"; "rings_scanned"; "cells_visited"; "entries_scanned" ]
+  in
+  let serial = grid_work 1 in
+  let parallel = grid_work 4 in
+  Alcotest.(check bool) "grid queries ran" true (snd (List.hd serial) > 0);
+  List.iter2
+    (fun (name, a) (_, b) -> Alcotest.(check int) name a b)
+    serial parallel
+
 let () =
   Alcotest.run "core"
     [
@@ -245,6 +270,8 @@ let () =
           Alcotest.test_case "pp_result" `Quick test_pp_result_smoke;
           Alcotest.test_case "json probe counters" `Quick
             test_json_of_result_probe_counters;
+          Alcotest.test_case "grid counters equal at jobs 1 and 4" `Quick
+            test_grid_counters_across_jobs;
         ] );
       ( "tracing",
         [

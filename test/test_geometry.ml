@@ -394,7 +394,7 @@ let prop_translate_preserves_dist =
 (* --- Grid index ---------------------------------------------------------- *)
 
 let test_grid_basic () =
-  let g = Grid_index.create ~cell:10. in
+  let g = Grid_index.create ~cell:10. () in
   Grid_index.add g ~id:1 (pt 0. 0.) "a";
   Grid_index.add g ~id:2 (pt 100. 0.) "b";
   Grid_index.add g ~id:3 (pt 3. 4.) "c";
@@ -426,7 +426,7 @@ let prop_grid_matches_linear_scan =
   in
   QCheck.Test.make ~name:"grid nearest matches linear scan" ~count:200 arb
     (fun (pts, q) ->
-      let g = Grid_index.create ~cell:50. in
+      let g = Grid_index.create ~cell:50. () in
       List.iteri (fun i p -> Grid_index.add g ~id:i p i) pts;
       let best_scan =
         List.fold_left
@@ -465,7 +465,7 @@ let prop_grid_k_nearest_matches_brute_force =
   QCheck.Test.make ~name:"grid k_nearest matches brute force" ~count:300 arb
     (fun (pts, q, k, cell, with_skip) ->
       let skip = if with_skip then fun id -> id mod 3 = 0 else fun _ -> false in
-      let g = Grid_index.create ~cell in
+      let g = Grid_index.create ~cell () in
       List.iteri (fun i p -> Grid_index.add g ~id:i p i) pts;
       let got = Grid_index.k_nearest g ~skip q k in
       let brute =
@@ -509,7 +509,7 @@ let prop_grid_churn =
   in
   QCheck.Test.make ~name:"grid survives add/remove churn" ~count:200 arb
     (fun (ops, cell) ->
-      let g = Grid_index.create ~cell in
+      let g = Grid_index.create ~cell () in
       let mirror : (int, Pt.t) Hashtbl.t = Hashtbl.create 64 in
       let next = ref 0 in
       let ok = ref true in
@@ -562,6 +562,100 @@ let prop_grid_churn =
                 | Some (_, d) -> check (Float.abs (Pt.dist p q -. d) <= 1e-9)
                 | None -> check false)
               got)
+        ops;
+      !ok)
+
+(* The dense kernel against its executable spec ([Grid_spec], the
+   nested-table index it replaced): under a random add/remove/query
+   churn, every [nearest] / [k_nearest] answer must match in ids, points
+   and order, and every query must add exactly the spec's work to the
+   [geometry.grid.*] counters.  Points come from four families: a coarse
+   lattice that lands on cell boundaries and ties distances, free
+   coordinates (negative included), and far outliers beyond the dense
+   extent, which live in the sparse fallback. *)
+let prop_grid_matches_spec =
+  let grid_counters =
+    List.map
+      (fun n -> Option.get (Obs.Counter.find ("geometry.grid." ^ n)))
+      [ "queries"; "rings_scanned"; "cells_visited"; "entries_scanned" ]
+  in
+  let counts () = List.map Obs.Counter.value grid_counters in
+  let gen_p cell =
+    QCheck.Gen.(
+      let lattice = map (fun i -> cell *. float_of_int i) (int_range (-12) 12) in
+      let half = map (fun i -> cell *. 0.5 *. float_of_int i) (int_range (-20) 20) in
+      (* Far in cells, yet few enough rings that the spec's full-ring
+         scan stays cheap. *)
+      let far = map (fun i -> cell *. (float_of_int i +. 0.3)) (oneofl [ -19; -15; 14; 18 ]) in
+      let free = float_range (-12. *. cell) (12. *. cell) in
+      let coord = frequency [ (3, lattice); (2, half); (3, free); (1, far) ] in
+      map2 pt coord coord)
+  in
+  let gen =
+    QCheck.Gen.(
+      let* cell = oneofl [ 5.; 10.; 40. ] in
+      let* extent =
+        oneofl [ None; Some (pt (-60.) (-60.), pt 60. 60.); Some (pt 0. (-25.), pt 300. 10.) ]
+      in
+      let* n_ops = int_range 5 150 in
+      let* ops =
+        list_repeat n_ops
+          (triple (int_range 0 11) (gen_p cell) (int_range 0 40))
+      in
+      return (cell, extent, ops))
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun (cell, extent, ops) ->
+        Printf.sprintf "cell=%g extent=%b %d ops" cell (extent <> None)
+          (List.length ops))
+      gen
+  in
+  QCheck.Test.make ~name:"dense grid matches its spec" ~count:300 arb
+    (fun (cell, extent, ops) ->
+      let g = Grid_index.create ?extent ~cell () in
+      let s = Grid_spec.create ~cell in
+      let live = ref [] and next = ref 0 and ok = ref true in
+      let spec_work () =
+        let w = s.Grid_spec.work in
+        [ w.queries; w.rings; w.cells; w.entries ]
+      in
+      (* Runs the same query on both; answers and work must agree. *)
+      let same query_g query_s =
+        let c0 = counts () and w0 = spec_work () in
+        let a = query_g () and b = query_s () in
+        let dg = List.map2 ( - ) (counts ()) c0
+        and ds = List.map2 ( - ) (spec_work ()) w0 in
+        if a <> b || dg <> ds then ok := false
+      in
+      List.iter
+        (fun (tag, p, x) ->
+          let skip = if x mod 4 = 0 then fun id -> id mod 3 = 0 else fun _ -> false in
+          (match tag with
+          | 0 | 1 | 2 | 3 ->
+            let id = !next in
+            incr next;
+            Grid_index.add g ~id p id;
+            Grid_spec.add s ~id p id;
+            live := (id, p) :: !live
+          | 4 | 5 | 6 -> (
+            match !live with
+            | [] -> ()
+            | l ->
+              let id, q = List.nth l (x mod List.length l) in
+              Grid_index.remove g ~id q;
+              Grid_spec.remove s ~id q;
+              live := List.filter (fun (i, _) -> i <> id) l)
+          | 7 ->
+            same
+              (fun () -> Option.to_list (Grid_index.nearest g ~skip p))
+              (fun () -> Option.to_list (Grid_spec.nearest s ~skip p))
+          | _ ->
+            let k = x mod 12 in
+            same
+              (fun () -> Grid_index.k_nearest g ~skip p k)
+              (fun () -> Grid_spec.k_nearest s ~skip p k));
+          if Grid_index.size g <> Grid_spec.size s then ok := false)
         ops;
       !ok)
 
@@ -626,5 +720,6 @@ let () =
                prop_grid_matches_linear_scan;
                prop_grid_k_nearest_matches_brute_force;
                prop_grid_churn;
+               prop_grid_matches_spec;
              ] );
     ]
