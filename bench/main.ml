@@ -98,20 +98,11 @@ let bench_instance (spec : Workload.Circuits.spec) =
   Workload.Circuits.instance spec ~n_groups:8
     ~scheme:Workload.Partition.Intermingled ~bound ()
 
-(* Identical-tree check used by the par bench and the smoke gate:
-   evaluation metrics are a complete fingerprint for this purpose (the
-   embedding is deterministic in the planned tree, and the check oracles
-   additionally compare trees node-for-node). *)
-let same_result (a : Astskew.Router.result) (b : Astskew.Router.result) =
-  a.evaluation.wirelength = b.evaluation.wirelength
-  && a.evaluation.global_skew = b.evaluation.global_skew
-  && a.evaluation.max_group_skew = b.evaluation.max_group_skew
-
 (* Routes the instance once per jobs value (AST-DME) and reports wall and
    engine time plus the speedup relative to jobs=1.  The engine freezes
    each round's state before probing, so every run must produce the same
-   tree; the sweep cross-checks evaluation metrics and trial-merge
-   counts. *)
+   tree; the sweep compares trees, reports and engine stats
+   ({!Check.Oracle.route_diff}). *)
 let par_sweep inst =
   let cores = Domain.recommended_domain_count () in
   let sweep = List.sort_uniq Int.compare [ 1; 2; 4; cores ] in
@@ -126,14 +117,11 @@ let par_sweep inst =
       sweep
   in
   let _, base_wall, (base : Astskew.Router.result) = List.hd runs in
-  let same (a : Astskew.Router.result) (b : Astskew.Router.result) =
-    same_result a b && a.engine.trial_merges = b.engine.trial_merges
-  in
   let rows =
     List.map
       (fun (jobs, wall, (r : Astskew.Router.result)) ->
         (jobs, wall, r.timings.engine_s, base_wall /. Float.max 1e-9 wall,
-         same base r))
+         Check.Oracle.route_diff base r = []))
       runs
   in
   (cores, rows)
@@ -209,7 +197,7 @@ let par_bench ?(circuits = default_circuits) () =
           timed (fun () ->
               Astskew.Router.ast_dme ~clustered:true ~clusters:1 inst)
         in
-        let clu_identical = same_result r r_k1 in
+        let clu_identical = Check.Oracle.route_diff r r_k1 = [] in
         let regions =
           match r_clu.clustering with
           | Some d -> d.Dme.Cluster.n_clusters
@@ -320,11 +308,11 @@ let smoke_work (name, cells_budget) =
     Format.printf "OK@."
 
 (* Clustered leg of the smoke gate: the two-level router must
-   degenerate exactly at clusters=1 (same tree, same probe and trial
-   counters as flat) and stay Audit-clean under the global grouped
-   contract at the auto cluster count, with every region non-empty.
-   All gates are deterministic counters and tree fingerprints; wall
-   time and GC words are printed for the log but never gated. *)
+   degenerate exactly at clusters=1 (same tree, per-sink delays, report
+   and engine stats as flat) and stay Audit-clean under the global
+   grouped contract at the auto cluster count, with every region
+   non-empty.  All gates are deterministic; wall time and GC words are
+   printed for the log but never gated. *)
 let smoke_clustered name =
   match Workload.Circuits.find name with
   | None ->
@@ -365,12 +353,11 @@ let smoke_clustered name =
            if c.n_sinks = 0 then
              smoke_fail (Printf.sprintf "region %d is empty" c.cluster))
          d.per_cluster);
-    if not (same_result flat k1) then
-      smoke_fail "clusters=1 tree differs from the flat router's";
-    if flat.engine.nn_reprobes <> k1.engine.nn_reprobes then
-      smoke_fail "clusters=1 probe count differs from flat";
-    if flat.engine.trial_merges <> k1.engine.trial_merges then
-      smoke_fail "clusters=1 trial-merge count differs from flat";
+    (match Check.Oracle.route_diff flat k1 with
+     | [] -> ()
+     | diffs ->
+       List.iter (Format.printf "  DIFF %s@.") diffs;
+       smoke_fail "clusters=1 route differs from the flat router's");
     let audit =
       Check.Audit.run Check.Audit.Grouped inst clu.routed clu.evaluation
     in
@@ -831,7 +818,9 @@ let scale args =
         (* ad-hoc specs (the smoke downsample) are not in the registry,
            so run the oracle on the instance directly *)
         let findings =
-          Check.Oracle.cluster_identity ~jobs:[ 1; 4 ] (bench_instance spec)
+          Check.Oracle.invariance
+            ~rows:[ ("cluster-identity", [ 1; 4 ]) ]
+            (bench_instance spec)
         in
         Format.printf "%-8s jobs 1,4: %s@." spec.name
           (if findings = [] then "identical" else "DIFFERS!");
@@ -858,13 +847,12 @@ let scale args =
         inst
     in
     let wall2 = Obs.Timer.now () -. t0 in
-    let bad = ref [] in
-    if
-      not
-        (Check.Audit.tree_equal base.routed d1.routed
-        && base.evaluation.delays = d1.evaluation.delays
-        && base.evaluation.wirelength = d1.evaluation.wirelength)
-    then bad := "depth=1 differs from default depth" :: !bad;
+    let bad =
+      ref
+        (List.rev_map
+           (fun d -> "depth=1 differs from default depth: " ^ d)
+           (Check.Oracle.route_diff base d1))
+    in
     (match d2.clustering with
      | Some d
        when d.Dme.Cluster.depth = 2 && Array.length d.Dme.Cluster.super > 0
@@ -1035,16 +1023,17 @@ let eff args =
                   fail
                     (Printf.sprintf "%s: jobs=1 speedup %.17g <> 1.0" spec.name
                        speedup);
-                if not (same_result base r) then
+                let diffs = Check.Oracle.route_diff base r in
+                if diffs <> [] then
                   fail
-                    (Printf.sprintf "%s jobs=%d: tree differs from jobs=1"
-                       spec.name jobs);
+                    (Printf.sprintf "%s jobs=%d: route differs from jobs=1: %s"
+                       spec.name jobs (String.concat "; " diffs));
                 Obs.Json.Obj
                   [
                     ("jobs", Obs.Json.Int jobs);
                     ("wall_s", Obs.Json.Float wall);
                     ("speedup_vs_jobs1", Obs.Json.Float speedup);
-                    ("identical_to_jobs1", Obs.Json.Bool (same_result base r));
+                    ("identical_to_jobs1", Obs.Json.Bool (diffs = []));
                     ("result", Astskew.Router.json_of_result r);
                   ])
               runs

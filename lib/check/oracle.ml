@@ -1,7 +1,9 @@
 module Instance = Clocktree.Instance
 module Sink = Clocktree.Sink
 module Tree = Clocktree.Tree
+module Arena = Clocktree.Arena
 module Evaluate = Clocktree.Evaluate
+module Repair = Clocktree.Repair
 module Router = Astskew.Router
 
 type finding = { oracle : string; violations : Audit.violation list }
@@ -11,6 +13,9 @@ let pp_finding ppf f =
     (Format.pp_print_list Audit.pp_violation)
     f.violations
 
+(* A crash stays the finding of the oracle that crashed, so shrinking
+   chases it under that name and never mistakes another oracle's crash
+   for it. *)
 let guard oracle f =
   match f () with
   | [] -> []
@@ -18,16 +23,467 @@ let guard oracle f =
   | exception exn ->
     [
       {
-        oracle = "exception";
+        oracle;
         violations =
           [
-            {
-              Audit.invariant = oracle;
-              detail = Printexc.to_string exn;
-            };
+            { Audit.invariant = "exception"; detail = Printexc.to_string exn };
           ];
       };
     ]
+
+(* --- the invariance comparator ------------------------------------------- *)
+
+type field = Tree | Report | Engine | Repair | Arena
+
+type observation = {
+  routed : Tree.routed option;
+  report : Evaluate.report option;
+  engine : Dme.Engine.stats option;
+  repair : Repair.stats option;
+  arena : Arena.t option;
+}
+
+let nothing =
+  { routed = None; report = None; engine = None; repair = None; arena = None }
+
+let of_result (r : Router.result) =
+  {
+    nothing with
+    routed = Some r.routed;
+    report = Some r.evaluation;
+    engine = Some r.engine;
+  }
+
+let diff fields a b =
+  let out = ref [] in
+  let add fmt = Printf.ksprintf (fun s -> out := s :: !out) fmt in
+  let both name get f =
+    match (get a, get b) with
+    | Some x, Some y -> f x y
+    | _ -> add "%s not observed on both sides" name
+  in
+  let scalar name x y = if x <> y then add "%s: %.17g vs %.17g" name x y in
+  let column name pp xs ys =
+    if Array.length xs <> Array.length ys then
+      add "%s: %d vs %d entries" name (Array.length xs) (Array.length ys)
+    else
+      Array.iteri
+        (fun i x ->
+          if x <> ys.(i) then add "%s %d: %s vs %s" name i (pp x) (pp ys.(i)))
+        xs
+  in
+  let fl = Printf.sprintf "%.17g" in
+  let compare_field = function
+    | Tree ->
+      both "tree"
+        (fun o -> o.routed)
+        (fun x y ->
+          if not (Audit.tree_equal x y) then add "trees differ structurally")
+    | Report ->
+      both "report"
+        (fun o -> o.report)
+        (fun (x : Evaluate.report) (y : Evaluate.report) ->
+          scalar "wirelength" x.wirelength y.wirelength;
+          scalar "snaking" x.snaking y.snaking;
+          scalar "min_delay" x.min_delay y.min_delay;
+          scalar "max_delay" x.max_delay y.max_delay;
+          scalar "global_skew" x.global_skew y.global_skew;
+          scalar "max_group_skew" x.max_group_skew y.max_group_skew;
+          column "sink delay" fl x.delays y.delays;
+          column "group skew" fl x.group_skew y.group_skew)
+    | Engine ->
+      (* gc is the one run-dependent field (observation itself
+         allocates); every other counter must agree exactly. *)
+      both "engine stats"
+        (fun o -> o.engine)
+        (fun (x : Dme.Engine.stats) (y : Dme.Engine.stats) ->
+          if { x with gc = Obs.Gcstat.zero } <> { y with gc = Obs.Gcstat.zero }
+          then
+            add
+              "engine stats differ (gc zeroed): rounds %d vs %d, probes %d vs \
+               %d, trial merges %d vs %d"
+              x.rounds y.rounds x.nn_reprobes y.nn_reprobes x.trial_merges
+              y.trial_merges)
+    | Repair ->
+      both "repair stats"
+        (fun o -> o.repair)
+        (fun (x : Repair.stats) (y : Repair.stats) ->
+          if x <> y then
+            add
+              "repair stats differ: added_wire %.17g vs %.17g, adjusted %d vs \
+               %d, cycles %d vs %d, lifts %d vs %d"
+              x.added_wire y.added_wire x.adjusted_edges y.adjusted_edges
+              x.cycles y.cycles x.lift_iterations y.lift_iterations)
+    | Arena ->
+      both "arena"
+        (fun o -> o.arena)
+        (fun (x : Arena.t) (y : Arena.t) ->
+          if x.n <> y.n then add "arena has %d nodes vs %d" x.n y.n
+          else begin
+            scalar "source_len" x.source_len y.source_len;
+            let int = string_of_int in
+            column "left" int x.left y.left;
+            column "right" int x.right y.right;
+            column "parent" int x.parent y.parent;
+            column "size" int x.size y.size;
+            column "sink" int x.sink y.sink;
+            column "group" int x.group y.group;
+            column "scap" fl x.scap y.scap;
+            column "len" fl x.len y.len;
+            column "pos"
+              (fun (p : Geometry.Pt.t) ->
+                Printf.sprintf "(%.17g, %.17g)" p.Geometry.Pt.x p.Geometry.Pt.y)
+              x.pos y.pos
+          end)
+  in
+  List.iter compare_field fields;
+  List.rev !out
+
+let route_fields = [ Tree; Report; Engine ]
+let route_diff a b = diff route_fields (of_result a) (of_result b)
+
+(* --- runs, each made once per session ------------------------------------ *)
+
+(* Everything a row compares: the AST router under each knob, and the
+   repair / evaluation / embedding kernels against their serial specs. *)
+type run =
+  | Route of { jobs : int; clusters : int option; depth : int option }
+  | Traced of int  (** a live {!Obs.Trace} *)
+  | Recorded of int  (** a live {!Obs.Sched} and a muted {!Obs.Progress} *)
+  | Repaired of { regions : int option; incremental : bool; jobs : int }
+  | Windowed of int  (** the flat jobs=1 tree re-evaluated, 4 regions *)
+  | Reference_embed
+  | Direct_embed of int
+
+type entry = {
+  obs : observation;
+  result : Router.result option;
+  trace : Obs.Trace.t;
+}
+
+(* A session memoizes every run (or the exception it raised) on one
+   instance, so rows and oracles sharing a route make it once and each
+   reports a shared crash under its own name. *)
+type session = {
+  inst : Instance.t;
+  runs : (run, (entry, exn) result) Hashtbl.t;
+  plan : Dme.Subtree.t Lazy.t;  (** the AST merge plan, for embedding *)
+  unrepaired : Tree.routed Lazy.t;  (** AST plan + embed, for repair *)
+}
+
+let session inst =
+  let config = Router.ast_default_config in
+  {
+    inst;
+    runs = Hashtbl.create 16;
+    plan = lazy (fst (Dme.Engine.plan ~config inst));
+    unrepaired = lazy (fst (Dme.Engine.run ~config inst));
+  }
+
+let flat jobs = Route { jobs; clusters = None; depth = None }
+let clustered_run ?depth ~jobs k = Route { jobs; clusters = Some k; depth }
+
+(* [Router.ast_dme inst] resolves to exactly this jobs count. *)
+let default_jobs = Router.ast_default_config.Dme.Engine.jobs
+
+let rec observe s run =
+  match Hashtbl.find_opt s.runs run with
+  | Some r -> Result.fold ~ok:Fun.id ~error:raise r
+  | None ->
+    let r = try Ok (compute s run) with exn -> Error exn in
+    Hashtbl.replace s.runs run r;
+    Result.fold ~ok:Fun.id ~error:raise r
+
+and compute s run =
+  let inst = s.inst in
+  let routed ?(trace = Obs.Trace.null) r =
+    { obs = of_result r; result = Some r; trace }
+  in
+  let observed obs = { obs; result = None; trace = Obs.Trace.null } in
+  let arena_of t = Arena.of_routed inst.params ~rd:inst.rd t in
+  match run with
+  | Route { jobs; clusters = None; _ } -> routed (Router.ast_dme ~jobs inst)
+  | Route { jobs; clusters = Some clusters; depth } ->
+    routed
+      (Router.ast_dme ~jobs ~clustered:true ~clusters ?cluster_depth:depth
+         inst)
+  | Traced jobs ->
+    let trace = Obs.Trace.create () in
+    routed ~trace (Router.ast_dme ~jobs ~trace inst)
+  | Recorded jobs ->
+    let sched = Obs.Sched.create () in
+    (* The heartbeat rides along muted: it must be as inert as the
+       recorder, and this is the one place that proves it. *)
+    let devnull = open_out "/dev/null" in
+    let progress = Obs.Progress.create ~out:devnull () in
+    routed
+      (Fun.protect
+         ~finally:(fun () -> close_out devnull)
+         (fun () -> Router.ast_dme ~jobs ~sched ~progress inst))
+  | Repaired { regions; incremental; jobs } ->
+    let config = { Repair.default_config with jobs; incremental; regions } in
+    let t, stats = Repair.run ~config inst (Lazy.force s.unrepaired) in
+    observed
+      {
+        nothing with
+        routed = Some t;
+        report = Some (Evaluate.run inst t);
+        repair = Some stats;
+      }
+  | Windowed jobs ->
+    let a = arena_of (Option.get (observe s (flat 1)).result).routed in
+    observed
+      {
+        nothing with
+        report = Some (Evaluate.report_of_arena ~jobs ~regions:4 inst a);
+      }
+  | Reference_embed ->
+    let t = Dme.Embed.run_reference inst (Lazy.force s.plan) in
+    observed { nothing with arena = Some (arena_of t) }
+  | Direct_embed jobs ->
+    let a =
+      Par.Pool.with_pool ~jobs (fun pool ->
+          Dme.Embed.run_arena ?pool inst (Lazy.force s.plan))
+    in
+    observed { nothing with arena = Some a }
+
+let result s run = Option.get (observe s run).result
+
+(* --- the invariance table ------------------------------------------------ *)
+
+(* A row: a name, its default jobs list, the fields that must agree,
+   the (label, base, variant) pairs it compares at a jobs list, and a
+   post-check for what is not a comparison. *)
+type row = {
+  name : string;
+  jobs : int list;
+  fields : field list;
+  pairs : int list -> (string * run * run) list;
+  post : session -> int list -> Audit.violation list;
+}
+
+let row ?(post = fun _ _ -> []) name jobs fields pairs =
+  { name; jobs; fields; pairs; post }
+
+let violations name details =
+  List.map (fun detail -> { Audit.invariant = name; detail }) details
+
+let per_job pairs jobs =
+  List.concat_map
+    (fun j ->
+      List.map
+        (fun (what, base, variant) ->
+          (Printf.sprintf "jobs=%d%s" j what, base, variant))
+        (pairs j))
+    jobs
+
+(* A post-check run at each jobs count; [check s j add] reports
+   through [add]. *)
+let each_job name check s jobs =
+  List.concat_map
+    (fun j ->
+      let out = ref [] in
+      check s j (fun detail ->
+          out := Printf.sprintf "jobs=%d %s" j detail :: !out);
+      violations name (List.rev !out))
+    jobs
+
+(* The journal is the trace's accounting ledger: its per-round records
+   must sum exactly to the engine's aggregate stats, and the Chrome
+   export must re-parse with events in it. *)
+let trace_check s j add =
+  let e = observe s (Traced j) in
+  let engine = (Option.get e.result).engine in
+  let rounds =
+    List.filter_map
+      (function
+        | Obs.Json.Obj fields
+          when List.assoc_opt "type" fields = Some (Obs.Json.String "round") ->
+          Some fields
+        | _ -> None)
+      (Obs.Trace.journal_records e.trace)
+  in
+  let check key counted =
+    let sum =
+      List.fold_left
+        (fun acc fields ->
+          match List.assoc_opt key fields with
+          | Some (Obs.Json.Int i) -> acc + i
+          | _ -> acc)
+        0 rounds
+    in
+    if sum <> counted then
+      add (Printf.sprintf "journal %s %d <> engine %d" key sum counted)
+  in
+  if List.length rounds <> engine.rounds then
+    add
+      (Printf.sprintf "journal has %d round records, engine ran %d rounds"
+         (List.length rounds) engine.rounds);
+  check "probes" engine.nn_reprobes;
+  check "trial_merges" engine.trial_merges;
+  let chrome = Obs.Json.to_string (Obs.Trace.to_chrome e.trace) in
+  match Obs.Json.of_string chrome with
+  | Obs.Json.Obj fields -> (
+    match List.assoc_opt "traceEvents" fields with
+    | Some (Obs.Json.List []) -> add "chrome export has no events"
+    | Some (Obs.Json.List _) -> ()
+    | _ -> add "chrome export lacks traceEvents")
+  | _ -> add "chrome export is not a JSON object"
+  | exception Obs.Json.Parse_error _ -> add "chrome export does not re-parse"
+
+(* The recorded run carries a sane efficiency report, the unrecorded one
+   none. *)
+let sched_check s j add =
+  (match (result s (Recorded j)).sched with
+  | None -> add "recorded run yields no efficiency report"
+  | Some rep ->
+    (* The report records the widest pool a map actually ran on; tiny
+       instances legitimately clamp below the request, so the bound is
+       one-sided. *)
+    if rep.jobs < 1 || rep.jobs > j then
+      add (Printf.sprintf "report claims jobs=%d" rep.jobs);
+    if not (rep.serial_fraction >= 0. && rep.serial_fraction <= 1.) then
+      add
+        (Printf.sprintf "serial fraction %.17g outside [0,1]"
+           rep.serial_fraction);
+    if rep.wall_s < rep.par_wall_s then
+      add
+        (Printf.sprintf "phase walls %.17g < parallel walls %.17g" rep.wall_s
+           rep.par_wall_s));
+  if (result s (flat j)).sched <> None then
+    add "unrecorded run yields an efficiency report"
+
+let cluster_check s j add =
+  match (result s (clustered_run ~jobs:j 1)).clustering with
+  | Some d when d.n_clusters = 1 -> ()
+  | Some d -> add (Printf.sprintf "clusters=1 reports %d clusters" d.n_clusters)
+  | None -> add "clustered run reports no clustering detail"
+
+(* k = 4 is the smallest cluster count whose depth-2 hierarchy is
+   non-degenerate (fan-out 2 over two levels). *)
+let depth_k = 4
+
+(* A forced depth-2 hierarchy is honestly reported in the clustering
+   detail and its stitched tree passes the full grouped audit. *)
+let depth_check s _ =
+  let inst = s.inst in
+  let d2 = result s (clustered_run ~jobs:1 ~depth:2 depth_k) in
+  let n = Instance.n_sinks inst in
+  let kr = Int.min depth_k (Int.max 1 n) in
+  let bad fmt = Printf.ksprintf Option.some fmt in
+  let details =
+    match d2.clustering with
+    | None -> [ "depth=2 run reports no clustering detail" ]
+    | Some d ->
+      let covered =
+        Array.fold_left
+          (fun acc (c : Dme.Cluster.cluster_stats) -> acc + c.n_sinks)
+          0 d.per_cluster
+      in
+      List.filter_map Fun.id
+        [
+          (if d.n_clusters <> kr then
+             bad "depth=2 reports %d clusters, expected %d" d.n_clusters kr
+           else None);
+          (if kr = depth_k && d.depth <> 2 then
+             bad "depth=2 realized depth %d" d.depth
+           else None);
+          (if kr = depth_k && Array.length d.super = 0 then
+             bad "depth=2 reports no super-stitch plans"
+           else None);
+          (if covered <> n then
+             bad "depth=2 regions cover %d sinks of %d" covered n
+           else None);
+        ]
+  in
+  violations "cluster-depth-identity" details
+  @ Audit.run Audit.Grouped inst d2.routed d2.evaluation
+
+let rows =
+  [
+    (* Parallel cost ranking is deterministic. *)
+    row "par-identity" [ 2; 4 ] route_fields
+      (per_job (fun j -> [ ("", flat 1, flat j) ]));
+    (* Structured tracing is semantically inert. *)
+    row "trace-identity" [ 1; 2 ] route_fields
+      (per_job (fun j -> [ ("", flat 1, Traced j) ]))
+      ~post:(each_job "trace-identity" trace_check);
+    (* The flight recorder and the progress heartbeat observe scheduling
+       without steering it. *)
+    row "sched-identity" [ 1; 2; 4 ] route_fields
+      (per_job (fun j ->
+           [
+             (" recorded vs jobs=1", flat 1, Recorded j);
+             (" recorded vs unrecorded", flat j, Recorded j);
+           ]))
+      ~post:(each_job "sched-identity" sched_check);
+    (* A single region is the flat router: partitioning, re-indexing and
+       the one-root stitch are invisible. *)
+    row "cluster-identity" [ 1; 2 ] route_fields
+      (per_job (fun j ->
+           [ (" clusters=1 vs flat", flat 1, clustered_run ~jobs:j 1) ]))
+      ~post:(each_job "cluster-identity" cluster_check);
+    (* Forced depth 1 is what the default depth resolves to at k = 4, and
+       a forced depth-2 hierarchy is jobs-invariant. *)
+    row "cluster-depth-identity" [ 2; 4 ] route_fields
+      (fun jobs ->
+        let d2 j = clustered_run ~jobs:j ~depth:2 depth_k in
+        ( "depth=1 vs auto",
+          clustered_run ~jobs:1 depth_k,
+          clustered_run ~jobs:1 ~depth:1 depth_k )
+        :: per_job (fun j -> [ (" depth=2 vs jobs=1", d2 1, d2 j) ]) jobs)
+      ~post:depth_check;
+    (* Incremental, regional and parallel repair reproduce the serial
+       from-scratch pass, with regions auto-derived (the pure global
+       cycle on small instances) and forced 4-way (the regional
+       fixpoints on every case). *)
+    row "repair-identity" [ 2; 4 ] [ Tree; Report; Repair ] (fun jobs ->
+        List.concat_map
+          (fun (family, regions) ->
+            let run incremental jobs =
+              Repaired { regions; incremental; jobs }
+            in
+            per_job
+              (fun j -> [ (" incremental " ^ family, run false 1, run true j) ])
+              (1 :: jobs))
+          [ ("auto-regions", None); ("forced-regions", Some 4) ]);
+    (* The windowed kernels reproduce the router's serial report. *)
+    row "evaluate-identity" [ 2; 4 ] [ Report ]
+      (per_job (fun j -> [ (" windowed", flat 1, Windowed j) ]));
+    (* Arena-direct embedding fills every column exactly as flattening
+       the recursive reference embedder's tree does. *)
+    row "embed-identity" [ 1; 2; 4 ] [ Arena ]
+      (per_job (fun j -> [ (" direct", Reference_embed, Direct_embed j) ]));
+  ]
+
+let row_names = List.map (fun r -> r.name) rows
+let default_rows = List.map (fun r -> (r.name, r.jobs)) rows
+
+let run_rows ?(plant = Fun.id) s selection =
+  List.concat_map
+    (fun (name, jobs) ->
+      let row =
+        match List.find_opt (fun r -> r.name = name) rows with
+        | Some r -> r
+        | None -> invalid_arg ("Oracle.invariance: no row " ^ name)
+      in
+      guard name (fun () ->
+          List.concat_map
+            (fun (label, base, variant) ->
+              (* A pair of one run (depth 2 at jobs 1 vs jobs 1) compares
+                 two executions of it: run-to-run determinism. *)
+              let v =
+                if variant = base then compute s variant else observe s variant
+              in
+              diff row.fields (observe s base).obs (plant v.obs)
+              |> List.map (fun d -> label ^ ": " ^ d)
+              |> violations name)
+            (row.pairs jobs)
+          @ row.post s jobs))
+    selection
+
+let invariance ?plant ?(rows = default_rows) inst =
+  run_rows ?plant (session inst) rows
 
 (* --- deliberate fault injection ------------------------------------------ *)
 
@@ -69,248 +525,43 @@ let inject_skew_violation (inst : Instance.t) (r : Tree.routed) =
     in
     { r with tree = go r.tree }
 
+(* The routed tree and report an audit sees, snaked first under [inject]. *)
+let audited ~inject inst (r : Router.result) =
+  if inject then
+    let routed = inject_skew_violation inst r.routed in
+    (routed, Evaluate.run inst routed)
+  else (r.routed, r.evaluation)
+
 (* --- router contracts ---------------------------------------------------- *)
 
 let min_bound (inst : Instance.t) =
   List.init inst.n_groups (Instance.bound_for inst)
   |> List.fold_left Float.min Float.infinity
 
-let routers ?(inject = false) inst =
+let routers_in ~inject ~only s =
+  let inst = s.inst in
   let audit oracle contract route =
-    guard oracle (fun () ->
-        let result = route inst in
-        let routed, report =
-          if inject && contract = Audit.Grouped then begin
-            let routed = inject_skew_violation inst result.Router.routed in
-            (routed, Evaluate.run inst routed)
-          end
-          else (result.Router.routed, result.Router.evaluation)
-        in
-        Audit.run contract inst routed report)
+    if not (only oracle) then []
+    else
+      guard oracle (fun () ->
+          let routed, report =
+            audited ~inject:(inject && contract = Audit.Grouped) inst (route ())
+          in
+          Audit.run contract inst routed report)
   in
-  audit "ast-dme" Audit.Grouped (Router.ast_dme ?config:None)
-  @ audit "ext-bst" (Audit.Global (min_bound inst)) (Router.ext_bst ?config:None)
-  @ audit "greedy-dme" (Audit.Global 0.) (Router.greedy_dme ?config:None)
-  @ audit "mmm-dme" Audit.Grouped (Router.mmm_dme ?config:None)
+  audit "ast-dme" Audit.Grouped (fun () -> result s (flat default_jobs))
+  @ audit "ext-bst" (Audit.Global (min_bound inst)) (fun () ->
+        Router.ext_bst inst)
+  @ audit "greedy-dme" (Audit.Global 0.) (fun () -> Router.greedy_dme inst)
+  @ audit "mmm-dme" Audit.Grouped (fun () -> Router.mmm_dme inst)
 
-(* --- parallel ranking bit-identity ---------------------------------------- *)
+let routers ?(inject = false) inst =
+  routers_in ~inject ~only:(fun _ -> true) (session inst)
 
-let par_identity ?(jobs = [ 2; 4 ]) inst =
-  guard "par-identity" (fun () ->
-      let serial = Router.ast_dme ~jobs:1 inst in
-      let check j =
-        let par = Router.ast_dme ~jobs:j inst in
-        let diff = ref [] in
-        let add fmt =
-          Printf.ksprintf
-            (fun detail ->
-              diff := { Audit.invariant = "par-identity"; detail } :: !diff)
-            fmt
-        in
-        if not (Audit.tree_equal serial.routed par.routed) then
-          add "jobs=%d tree differs structurally from jobs=1" j;
-        Array.iteri
-          (fun i d ->
-            if d <> par.evaluation.delays.(i) then
-              add "jobs=%d sink %d delay: serial %.17g, parallel %.17g" j i d
-                par.evaluation.delays.(i))
-          serial.evaluation.delays;
-        if serial.evaluation.wirelength <> par.evaluation.wirelength then
-          add "jobs=%d wirelength: serial %.17g, parallel %.17g" j
-            serial.evaluation.wirelength par.evaluation.wirelength;
-        (* Stats equality is stricter than tree equality: it proves the
-           workers ran exactly the serial trial merges. *)
-        if serial.engine.trial_merges <> par.engine.trial_merges then
-          add "jobs=%d trial merges %d <> jobs=1 %d" j par.engine.trial_merges
-            serial.engine.trial_merges;
-        List.rev !diff
-      in
-      List.concat_map check jobs)
+(* --- clustered routing --------------------------------------------------- *)
 
-(* --- tracing bit-identity -------------------------------------------------- *)
-
-let trace_identity ?(jobs = [ 1; 2 ]) inst =
-  guard "trace-identity" (fun () ->
-      let base = Router.ast_dme ~jobs:1 inst in
-      let check j =
-        let trace = Obs.Trace.create () in
-        let traced = Router.ast_dme ~jobs:j ~trace inst in
-        let diff = ref [] in
-        let add fmt =
-          Printf.ksprintf
-            (fun detail ->
-              diff := { Audit.invariant = "trace-identity"; detail } :: !diff)
-            fmt
-        in
-        if not (Audit.tree_equal base.routed traced.routed) then
-          add "jobs=%d traced tree differs structurally from untraced" j;
-        Array.iteri
-          (fun i d ->
-            if d <> traced.evaluation.delays.(i) then
-              add "jobs=%d sink %d delay: untraced %.17g, traced %.17g" j i d
-                traced.evaluation.delays.(i))
-          base.evaluation.delays;
-        if base.evaluation.wirelength <> traced.evaluation.wirelength then
-          add "jobs=%d wirelength: untraced %.17g, traced %.17g" j
-            base.evaluation.wirelength traced.evaluation.wirelength;
-        (* Full stats equality: observation must not perturb the engine's
-           work, and jobs must not either (par-identity, replayed here
-           under tracing).  GC counters are the one legitimately
-           run-dependent field (tracing itself allocates), so they are
-           zeroed out of the comparison. *)
-        let degc (s : Dme.Engine.stats) = { s with gc = Obs.Gcstat.zero } in
-        if degc base.engine <> degc traced.engine then
-          add "jobs=%d traced engine stats differ from untraced jobs=1" j;
-        (* The journal is the trace's accounting ledger: its per-round
-           records must sum exactly to the engine's aggregate stats. *)
-        let rounds =
-          List.filter_map
-            (function
-              | Obs.Json.Obj fields
-                when List.assoc_opt "type" fields
-                     = Some (Obs.Json.String "round") ->
-                Some fields
-              | _ -> None)
-            (Obs.Trace.journal_records trace)
-        in
-        let sum key =
-          List.fold_left
-            (fun acc fields ->
-              match List.assoc_opt key fields with
-              | Some (Obs.Json.Int i) -> acc + i
-              | _ -> acc)
-            0 rounds
-        in
-        if List.length rounds <> traced.engine.rounds then
-          add "jobs=%d journal has %d round records, engine ran %d rounds" j
-            (List.length rounds) traced.engine.rounds;
-        if sum "probes" <> traced.engine.nn_reprobes then
-          add "jobs=%d journal probes %d <> engine nn_reprobes %d" j
-            (sum "probes") traced.engine.nn_reprobes;
-        if sum "trial_merges" <> traced.engine.trial_merges then
-          add "jobs=%d journal trial_merges %d <> engine %d" j
-            (sum "trial_merges") traced.engine.trial_merges;
-        (* The Chrome export must round-trip through the JSON parser and
-           actually contain events. *)
-        (match Obs.Json.of_string (Obs.Json.to_string (Obs.Trace.to_chrome trace)) with
-         | Obs.Json.Obj fields ->
-           (match List.assoc_opt "traceEvents" fields with
-            | Some (Obs.Json.List []) ->
-              add "jobs=%d chrome export has no events" j
-            | Some (Obs.Json.List _) -> ()
-            | _ -> add "jobs=%d chrome export lacks traceEvents" j)
-         | _ -> add "jobs=%d chrome export is not a JSON object" j
-         | exception Obs.Json.Parse_error _ ->
-           add "jobs=%d chrome export does not re-parse" j);
-        List.rev !diff
-      in
-      List.concat_map check jobs)
-
-(* --- flight-recorder bit-identity ------------------------------------------ *)
-
-let sched_identity ?(jobs = [ 1; 2; 4 ]) inst =
-  guard "sched-identity" (fun () ->
-      let base = Router.ast_dme ~jobs:1 inst in
-      let degc (s : Dme.Engine.stats) = { s with gc = Obs.Gcstat.zero } in
-      let check j =
-        let sched = Obs.Sched.create () in
-        (* The heartbeat reporter rides along muted: it must be as inert
-           as the recorder, and this is the one place that proves it. *)
-        let devnull = open_out "/dev/null" in
-        let progress = Obs.Progress.create ~out:devnull () in
-        let recorded =
-          Fun.protect
-            ~finally:(fun () -> close_out devnull)
-            (fun () -> Router.ast_dme ~jobs:j ~sched ~progress inst)
-        in
-        let unrecorded = Router.ast_dme ~jobs:j inst in
-        let diff = ref [] in
-        let add fmt =
-          Printf.ksprintf
-            (fun detail ->
-              diff := { Audit.invariant = "sched-identity"; detail } :: !diff)
-            fmt
-        in
-        if not (Audit.tree_equal base.routed recorded.routed) then
-          add "jobs=%d recorded tree differs structurally from jobs=1" j;
-        Array.iteri
-          (fun i d ->
-            if d <> recorded.evaluation.delays.(i) then
-              add "jobs=%d sink %d delay: unrecorded %.17g, recorded %.17g" j i
-                d recorded.evaluation.delays.(i))
-          base.evaluation.delays;
-        if base.evaluation.wirelength <> recorded.evaluation.wirelength then
-          add "jobs=%d wirelength: unrecorded %.17g, recorded %.17g" j
-            base.evaluation.wirelength recorded.evaluation.wirelength;
-        (* Stats equality against a same-jobs unrecorded run (gc zeroed):
-           the recorder observed scheduling without steering it. *)
-        if degc unrecorded.engine <> degc recorded.engine then
-          add "jobs=%d recorded engine stats differ from unrecorded" j;
-        (* The report itself must be present and sane. *)
-        (match recorded.Router.sched with
-        | None -> add "jobs=%d recorded run yields no efficiency report" j
-        | Some rep ->
-            (* The report records the widest pool a map actually ran on;
-               tiny instances legitimately clamp below the request (a
-               single sink never fans out), so the bound is one-sided. *)
-            if rep.Obs.Sched.jobs < 1 || rep.Obs.Sched.jobs > j then
-              add "jobs=%d report claims jobs=%d" j rep.Obs.Sched.jobs;
-            let s = rep.Obs.Sched.serial_fraction in
-            if not (s >= 0. && s <= 1.) then
-              add "jobs=%d serial fraction %.17g outside [0,1]" j s;
-            if rep.Obs.Sched.wall_s < rep.Obs.Sched.par_wall_s then
-              add "jobs=%d phase walls %.17g < parallel walls %.17g" j
-                rep.Obs.Sched.wall_s rep.Obs.Sched.par_wall_s);
-        if unrecorded.Router.sched <> None then
-          add "jobs=%d unrecorded run yields an efficiency report" j;
-        List.rev !diff
-      in
-      List.concat_map check jobs)
-
-(* --- clustered routing ----------------------------------------------------- *)
-
-let cluster_identity ?(jobs = [ 1; 2 ]) inst =
-  guard "cluster-identity" (fun () ->
-      let flat = Router.ast_dme ~jobs:1 inst in
-      let degc (s : Dme.Engine.stats) = { s with gc = Obs.Gcstat.zero } in
-      let check j =
-        let clu =
-          Router.ast_dme ~jobs:j ~clustered:true ~clusters:1 inst
-        in
-        let diff = ref [] in
-        let add fmt =
-          Printf.ksprintf
-            (fun detail ->
-              diff := { Audit.invariant = "cluster-identity"; detail } :: !diff)
-            fmt
-        in
-        if not (Audit.tree_equal flat.routed clu.routed) then
-          add "jobs=%d clusters=1 tree differs structurally from flat" j;
-        Array.iteri
-          (fun i d ->
-            if d <> clu.evaluation.delays.(i) then
-              add "jobs=%d sink %d delay: flat %.17g, clustered %.17g" j i d
-                clu.evaluation.delays.(i))
-          flat.evaluation.delays;
-        if flat.evaluation.wirelength <> clu.evaluation.wirelength then
-          add "jobs=%d wirelength: flat %.17g, clustered %.17g" j
-            flat.evaluation.wirelength clu.evaluation.wirelength;
-        (* Aggregate stats equality (gc zeroed, as ever): the single
-           region's plan must be exactly the flat plan and the top-level
-           stitch over one root must add zero work — scheduling,
-           sub-instance construction and reglobalization all invisible. *)
-        if degc flat.engine <> degc clu.engine then
-          add "jobs=%d clusters=1 engine stats differ from flat" j;
-        (match clu.clustering with
-         | Some d when d.Dme.Cluster.n_clusters = 1 -> ()
-         | Some d ->
-           add "jobs=%d clusters=1 reports %d clusters" j d.Dme.Cluster.n_clusters
-         | None -> add "jobs=%d clustered run reports no clustering detail" j);
-        List.rev !diff
-      in
-      List.concat_map check jobs)
-
-let clustered ?(inject = false) ?clusters inst =
+let clustered_in ~inject ?clusters s =
+  let inst = s.inst in
   let k =
     match clusters with
     | Some k -> k
@@ -320,301 +571,24 @@ let clustered ?(inject = false) ?clusters inst =
       let part =
         Audit.partition_cover inst (Dme.Cluster.partition inst ~clusters:k)
       in
-      let result = Router.ast_dme ~clustered:true ~clusters:k inst in
+      (* Under [inject] the victim's group is spread over regions by the
+         spatial partition, so the snaked leaf violates the bound across a
+         cluster boundary — the auditor must still see it: the skew
+         contract is global to the stitched tree, not per region. *)
       let routed, report =
-        if inject then begin
-          (* The victim's group is spread over regions by the spatial
-             partition, so the snaked leaf violates the bound across a
-             cluster boundary — the auditor must still see it: the skew
-             contract is global to the stitched tree, not per region. *)
-          let routed = inject_skew_violation inst result.Router.routed in
-          (routed, Evaluate.run inst routed)
-        end
-        else (result.Router.routed, result.Router.evaluation)
+        audited ~inject inst (result s (clustered_run ~jobs:default_jobs k))
       in
       part @ Audit.run Audit.Grouped inst routed report)
 
-(* --- repair bit-identity --------------------------------------------------- *)
-
-let repair_identity ?(jobs = [ 2; 4 ]) inst =
-  guard "repair-identity" (fun () ->
-      let module Repair = Clocktree.Repair in
-      (* One plan, many repairs: the oracle isolates the repair pass
-         from the (separately guarded) engine. *)
-      let routed, _ = Dme.Engine.run ~config:Router.ast_default_config inst in
-      let serial regions =
-        {
-          Repair.default_config with
-          jobs = 1;
-          incremental = false;
-          regions;
-        }
-      in
-      (* Two families: the default decomposition (no regional phase on
-         oracle-sized instances), and a forced 4-way decomposition that
-         exercises the regional fixpoints + parallel phase on every
-         case.  Within a family, incremental and parallel variants must
-         reproduce the serial from-scratch repair bit for bit — trees,
-         delays and stats. *)
-      let check (family, regions) =
-        let base = serial regions in
-        let base_t, base_s = Repair.run ~config:base inst routed in
-        let base_d = Evaluate.delays inst base_t in
-        let variants =
-          ("incremental jobs=1", { base with Repair.incremental = true })
-          :: List.map
-               (fun j ->
-                 ( Printf.sprintf "incremental jobs=%d" j,
-                   { base with Repair.incremental = true; jobs = j } ))
-               jobs
-        in
-        List.concat_map
-          (fun (label, cfg) ->
-            let t, s = Repair.run ~config:cfg inst routed in
-            let diff = ref [] in
-            let add fmt =
-              Printf.ksprintf
-                (fun detail ->
-                  diff :=
-                    { Audit.invariant = "repair-identity"; detail } :: !diff)
-                fmt
-            in
-            if not (Audit.tree_equal base_t t) then
-              add "%s %s: repaired tree differs from serial from-scratch"
-                family label;
-            let d = Evaluate.delays inst t in
-            Array.iteri
-              (fun i dv ->
-                if dv <> d.(i) then
-                  add "%s %s sink %d delay: serial %.17g, variant %.17g" family
-                    label i dv d.(i))
-              base_d;
-            if s <> base_s then
-              add
-                "%s %s: repair stats differ from serial from-scratch \
-                 (added_wire %.17g vs %.17g, adjusted %d vs %d, cycles %d vs \
-                 %d, lifts %d vs %d)"
-                family label base_s.Repair.added_wire s.Repair.added_wire
-                base_s.Repair.adjusted_edges s.Repair.adjusted_edges
-                base_s.Repair.cycles s.Repair.cycles
-                base_s.Repair.lift_iterations s.Repair.lift_iterations;
-            List.rev !diff)
-          variants
-      in
-      List.concat_map check
-        [ ("auto-regions", None); ("forced-regions", Some 4) ])
-
-(* --- windowed evaluation bit-identity -------------------------------------- *)
-
-let evaluate_identity ?(jobs = [ 2; 4 ]) inst =
-  guard "evaluate-identity" (fun () ->
-      (* One routed tree, many evaluations: the serial report is the
-         specification, the windowed kernels must reproduce it bit for
-         bit.  Oracle-sized instances derive fewer than 2 windows, so
-         the decomposition is forced ([regions = 4]) to make the
-         parallel path actually run. *)
-      let r = Router.ast_dme ~jobs:1 inst in
-      let base = r.Router.evaluation in
-      let arena =
-        Clocktree.Arena.of_routed inst.Instance.params ~rd:inst.Instance.rd
-          r.Router.routed
-      in
-      let check j =
-        let w = Evaluate.report_of_arena ~jobs:j ~regions:4 inst arena in
-        let diff = ref [] in
-        let add fmt =
-          Printf.ksprintf
-            (fun detail ->
-              diff := { Audit.invariant = "evaluate-identity"; detail } :: !diff)
-            fmt
-        in
-        let fcheck name a b =
-          if a <> b then
-            add "jobs=%d %s: serial %.17g, windowed %.17g" j name a b
-        in
-        fcheck "wirelength" base.Evaluate.wirelength w.Evaluate.wirelength;
-        fcheck "snaking" base.Evaluate.snaking w.Evaluate.snaking;
-        fcheck "min_delay" base.Evaluate.min_delay w.Evaluate.min_delay;
-        fcheck "max_delay" base.Evaluate.max_delay w.Evaluate.max_delay;
-        fcheck "global_skew" base.Evaluate.global_skew w.Evaluate.global_skew;
-        fcheck "max_group_skew" base.Evaluate.max_group_skew
-          w.Evaluate.max_group_skew;
-        Array.iteri
-          (fun i d ->
-            if d <> w.Evaluate.delays.(i) then
-              add "jobs=%d sink %d delay: serial %.17g, windowed %.17g" j i d
-                w.Evaluate.delays.(i))
-          base.Evaluate.delays;
-        Array.iteri
-          (fun g s ->
-            if s <> w.Evaluate.group_skew.(g) then
-              add "jobs=%d group %d skew: serial %.17g, windowed %.17g" j g s
-                w.Evaluate.group_skew.(g))
-          base.Evaluate.group_skew;
-        List.rev !diff
-      in
-      List.concat_map check jobs)
-
-(* --- arena-direct embedding bit-identity ------------------------------------ *)
-
-let embed_identity ?(jobs = [ 1; 2; 4 ]) inst =
-  guard "embed-identity" (fun () ->
-      let module Arena = Clocktree.Arena in
-      (* One merge plan, many embeddings: the recursive boxed-tree
-         reference flattened through [Arena.of_routed] is the
-         specification; the arena-direct embedding must populate every
-         column identically, serial or parallel. *)
-      let root, _ = Dme.Engine.plan ~config:Router.ast_default_config inst in
-      let spec =
-        Arena.of_routed inst.Instance.params ~rd:inst.Instance.rd
-          (Dme.Embed.run_reference inst root)
-      in
-      let check j =
-        let a =
-          Par.Pool.with_pool ~jobs:j (fun pool ->
-              Dme.Embed.run_arena ?pool inst root)
-        in
-        let diff = ref [] in
-        let add fmt =
-          Printf.ksprintf
-            (fun detail ->
-              diff := { Audit.invariant = "embed-identity"; detail } :: !diff)
-            fmt
-        in
-        if a.Arena.n <> spec.Arena.n then
-          add "jobs=%d arena has %d nodes, reference %d" j a.Arena.n
-            spec.Arena.n
-        else begin
-          if a.Arena.source_len <> spec.Arena.source_len then
-            add "jobs=%d source_len: direct %.17g, reference %.17g" j
-              a.Arena.source_len spec.Arena.source_len;
-          let icol name (c : int array) (s : int array) =
-            Array.iteri
-              (fun v x ->
-                if x <> s.(v) then
-                  add "jobs=%d node %d %s: direct %d, reference %d" j v name x
-                    s.(v))
-              c
-          in
-          icol "left" a.Arena.left spec.Arena.left;
-          icol "right" a.Arena.right spec.Arena.right;
-          icol "parent" a.Arena.parent spec.Arena.parent;
-          icol "size" a.Arena.size spec.Arena.size;
-          icol "sink" a.Arena.sink spec.Arena.sink;
-          icol "group" a.Arena.group spec.Arena.group;
-          let fcol name (c : float array) (s : float array) =
-            Array.iteri
-              (fun v x ->
-                if x <> s.(v) then
-                  add "jobs=%d node %d %s: direct %.17g, reference %.17g" j v
-                    name x s.(v))
-              c
-          in
-          fcol "scap" a.Arena.scap spec.Arena.scap;
-          fcol "len" a.Arena.len spec.Arena.len;
-          Array.iteri
-            (fun v (p : Geometry.Pt.t) ->
-              let q = spec.Arena.pos.(v) in
-              if p.Geometry.Pt.x <> q.Geometry.Pt.x
-                 || p.Geometry.Pt.y <> q.Geometry.Pt.y
-              then
-                add "jobs=%d node %d pos: direct (%.17g, %.17g), reference \
-                     (%.17g, %.17g)"
-                  j v p.Geometry.Pt.x p.Geometry.Pt.y q.Geometry.Pt.x
-                  q.Geometry.Pt.y)
-            a.Arena.pos
-        end;
-        List.rev !diff
-      in
-      List.concat_map check jobs)
-
-(* --- multi-level clustering ------------------------------------------------- *)
-
-let cluster_depth_identity ?(jobs = [ 2; 4 ]) inst =
-  guard "cluster-depth-identity" (fun () ->
-      (* k = 4 is the smallest cluster count whose depth-2 hierarchy is
-         non-degenerate (fan-out 2 over two levels). *)
-      let k = 4 in
-      let degc (s : Dme.Engine.stats) = { s with gc = Obs.Gcstat.zero } in
-      let diff = ref [] in
-      let add fmt =
-        Printf.ksprintf
-          (fun detail ->
-            diff :=
-              { Audit.invariant = "cluster-depth-identity"; detail } :: !diff)
-          fmt
-      in
-      let compare_runs label (a : Router.result) (b : Router.result) =
-        if not (Audit.tree_equal a.Router.routed b.Router.routed) then
-          add "%s: trees differ structurally" label;
-        Array.iteri
-          (fun i d ->
-            if d <> b.Router.evaluation.Evaluate.delays.(i) then
-              add "%s sink %d delay: %.17g vs %.17g" label i d
-                b.Router.evaluation.Evaluate.delays.(i))
-          a.Router.evaluation.Evaluate.delays;
-        if
-          a.Router.evaluation.Evaluate.wirelength
-          <> b.Router.evaluation.Evaluate.wirelength
-        then
-          add "%s wirelength: %.17g vs %.17g" label
-            a.Router.evaluation.Evaluate.wirelength
-            b.Router.evaluation.Evaluate.wirelength;
-        if degc a.Router.engine <> degc b.Router.engine then
-          add "%s: aggregate engine stats differ" label
-      in
-      (* Depth 1 is the historical two-level construction; it must be
-         what the default depth resolves to at this cluster count. *)
-      let auto = Router.ast_dme ~jobs:1 ~clustered:true ~clusters:k inst in
-      let d1 =
-        Router.ast_dme ~jobs:1 ~clustered:true ~clusters:k ~cluster_depth:1
-          inst
-      in
-      compare_runs "depth=1 vs auto" d1 auto;
-      (* A forced depth-2 hierarchy: jobs-invariant, audit-clean, and
-         honestly reported in the clustering detail. *)
-      let d2 =
-        Router.ast_dme ~jobs:1 ~clustered:true ~clusters:k ~cluster_depth:2
-          inst
-      in
-      List.iter
-        (fun j ->
-          let d2j =
-            Router.ast_dme ~jobs:j ~clustered:true ~clusters:k ~cluster_depth:2
-              inst
-          in
-          compare_runs (Printf.sprintf "depth=2 jobs=%d vs jobs=1" j) d2j d2)
-        jobs;
-      (match d2.Router.clustering with
-       | None -> add "depth=2 run reports no clustering detail"
-       | Some d ->
-         let kr = Int.min k (Int.max 1 (Instance.n_sinks inst)) in
-         if d.Dme.Cluster.n_clusters <> kr then
-           add "depth=2 reports %d clusters, expected %d"
-             d.Dme.Cluster.n_clusters kr;
-         if kr = k && d.Dme.Cluster.depth <> 2 then
-           add "depth=2 realized depth %d" d.Dme.Cluster.depth;
-         if kr = k && Array.length d.Dme.Cluster.super = 0 then
-           add "depth=2 reports no super-stitch plans";
-         let covered =
-           Array.fold_left
-             (fun acc (c : Dme.Cluster.cluster_stats) ->
-               acc + c.Dme.Cluster.n_sinks)
-             0 d.Dme.Cluster.per_cluster
-         in
-         if covered <> Instance.n_sinks inst then
-           add "depth=2 regions cover %d sinks of %d" covered
-             (Instance.n_sinks inst));
-      let audit =
-        Audit.run Audit.Grouped inst d2.Router.routed d2.Router.evaluation
-      in
-      List.rev !diff @ audit)
+let clustered ?(inject = false) ?clusters inst =
+  clustered_in ~inject ?clusters (session inst)
 
 (* --- Elmore vs transient ------------------------------------------------- *)
 
-let delay_models ?(resolution = 300) inst =
+let delay_models_in ?(resolution = 300) s =
+  let inst = s.inst in
   guard "delay-models" (fun () ->
-      let r = Router.ast_dme inst in
+      let r = result s (flat default_jobs) in
       let rct, sink_index =
         Tree.to_rctree inst.params ~rd:inst.rd ~n_sinks:(Instance.n_sinks inst)
           r.routed
@@ -694,15 +668,22 @@ let delay_models ?(resolution = 300) inst =
       end;
       List.rev !out)
 
-let all ?(inject = false) inst =
-  routers ~inject inst @ par_identity inst @ trace_identity inst
-  @ sched_identity inst
-  @ cluster_identity inst @ cluster_depth_identity inst
-  @ repair_identity inst @ evaluate_identity inst @ embed_identity inst
-  @ clustered ~inject inst @ delay_models inst
+let delay_models ?resolution inst = delay_models_in ?resolution (session inst)
 
-let reproduces ?inject ~of_run inst =
+(* --- the whole battery --------------------------------------------------- *)
+
+(* Every oracle whose name passes [only], on one session: a route any
+   two of them share is made once. *)
+let select ?(inject = false) ?(rows = default_rows) ~only inst =
+  let s = session inst in
+  routers_in ~inject ~only s
+  @ run_rows s (List.filter (fun (name, _) -> only name) rows)
+  @ (if only "clustered" then clustered_in ~inject s else [])
+  @ if only "delay-models" then delay_models_in s else []
+
+let all ?inject inst = select ?inject ~only:(fun _ -> true) inst
+
+let reproduces ?inject ?rows ~of_run inst =
   let names = List.map (fun f -> f.oracle) of_run in
-  let relevant name = List.mem name names in
-  let findings = all ?inject inst in
-  List.exists (fun f -> relevant f.oracle) findings
+  let only name = List.mem name names in
+  List.exists (fun f -> only f.oracle) (select ?inject ?rows ~only inst)

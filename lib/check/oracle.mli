@@ -8,39 +8,45 @@
       bound for EXT-BST, zero skew for greedy).  Wirelength orderings
       between routers are deliberately {e not} asserted — on grouped
       instances no router dominates another in general.
-    - {!par_identity}: parallel cost ranking is deterministic — AST-DME
-      with [jobs] > 1 produces the exact tree, sink delays, wirelength
-      {e and} trial-merge count of the serial [jobs = 1] run.
-    - {!trace_identity}: structured tracing is semantically inert —
-      AST-DME with a live {!Obs.Trace} produces the exact tree, delays,
-      wirelength and engine stats of the untraced run, the journal's
-      per-round sums match the engine's aggregate stats, and the Chrome
-      export round-trips through {!Obs.Json}.
-    - {!sched_identity}: the parallel-efficiency flight recorder and
-      the progress heartbeat are semantically inert — AST-DME with a
-      live {!Obs.Sched} and a muted {!Obs.Progress} produces the exact
-      tree, delays, wirelength and engine stats of the unrecorded run
-      at every jobs count, and the resulting report is present and
-      sane (serial fraction in [0,1], phase walls >= parallel walls).
-    - {!cluster_identity}: the two-level clustered router degenerates
-      exactly — with [clusters = 1] it produces the flat router's tree,
-      delays, wirelength and engine stats, for every jobs count.
-    - {!repair_identity}: incremental / regional / parallel skew repair
-      is bit-identical to the serial from-scratch pass — same tree,
-      delays and stats for any jobs count, with regions both auto-derived
-      and forced.
-    - {!cluster_depth_identity}: multi-level clustering degenerates and
-      scales exactly — a forced [cluster_depth = 1] reproduces the
-      default (historical two-level) run bit for bit, and a forced
-      depth-2 hierarchy is jobs-invariant, audit-clean and honestly
-      reported in the clustering detail.
-    - {!evaluate_identity}: the windowed parallel evaluation kernels
-      reproduce the serial report bit for bit for every jobs count,
-      with the decomposition forced so the parallel path actually runs
-      on oracle-sized instances.
-    - {!embed_identity}: the arena-direct embedding (serial and
-      parallel) populates every arena column exactly as flattening the
-      recursive reference embedder's boxed tree would.
+    - {!invariance}: the bit-identity contracts, one table row per knob
+      that must not change the answer (see {!row_names}):
+      - ["par-identity"]: AST-DME at [jobs] > 1 vs [jobs = 1] — tree,
+        report, engine stats.  Default jobs [[2; 4]].
+      - ["trace-identity"]: a live {!Obs.Trace} at each jobs vs the
+        untraced [jobs = 1] run — tree, report, engine stats; the
+        journal's per-round sums (round count, probes, trial merges)
+        equal the engine's stats and the Chrome export re-parses via
+        {!Obs.Json.of_string} with a non-empty [traceEvents] list.
+        Default jobs [[1; 2]].
+      - ["sched-identity"]: a live {!Obs.Sched} recorder plus a muted
+        {!Obs.Progress} heartbeat at each jobs vs both the unrecorded
+        [jobs = 1] run and the same-jobs unrecorded run — tree, report,
+        engine stats; the recorded result carries an efficiency report
+        (jobs within the request, serial fraction in [0, 1], phase walls
+        >= parallel walls) and the unrecorded one none.  Default jobs
+        [[1; 2; 4]].
+      - ["cluster-identity"]: the clustered router at [clusters = 1] vs
+        the flat [jobs = 1] run — tree, report, engine stats; its
+        clustering detail reports one region.  Default jobs [[1; 2]].
+      - ["cluster-depth-identity"]: at [clusters = 4], a forced
+        [cluster_depth = 1] vs the default depth, and a forced depth 2 at
+        each jobs vs [jobs = 1] — tree, report, engine stats; the depth-2
+        run reports a covering region set, realized depth 2 with
+        super-stitch detail, and passes the full grouped audit.  Default
+        jobs [[2; 4]].
+      - ["repair-identity"]: one AST plan repaired serially from scratch
+        vs incrementally at [jobs = 1] and each jobs, under auto-derived
+        regions and a forced 4-way split — tree, report, repair stats
+        (see {!Clocktree.Repair}'s determinism contract).  Default jobs
+        [[2; 4]].
+      - ["evaluate-identity"]: the [jobs = 1] route's report vs the
+        windowed kernels at each jobs with [regions = 4] forced, so the
+        parallel path runs on oracle-sized instances — every report
+        field.  Default jobs [[2; 4]].
+      - ["embed-identity"]: one AST plan embedded arena-direct at each
+        jobs vs the recursive reference embedder's tree flattened
+        through [Arena.of_routed] — every arena column.  Default jobs
+        [[1; 2; 4]].
     - {!clustered}: a genuinely clustered run ([clusters >= 2]) yields a
       covering partition and a stitched tree that passes the full audit
       under the global grouped contract.
@@ -56,9 +62,9 @@
       under adversarial RC the claim is legitimately false, which the
       fuzzer itself demonstrated.
 
-    A raised exception anywhere is converted into a finding with oracle
-    name ["exception"], so fuzzing surfaces crashes as ordinary
-    failures. *)
+    A raised exception anywhere becomes a finding of the oracle (or row)
+    that raised it, with the violation's invariant ["exception"], so
+    fuzzing surfaces crashes as ordinary failures of that oracle. *)
 
 type finding = {
   oracle : string;  (** "ast-dme", "par-identity", "delay-models", ... *)
@@ -67,75 +73,57 @@ type finding = {
 
 val pp_finding : Format.formatter -> finding -> unit
 
+(** {1 The comparator} *)
+
+(** What two runs can be required to agree on.  [Report] is the whole
+    {!Clocktree.Evaluate.report}: per-sink delays, per-group skews and
+    every scalar (wirelength, snaking, delay extrema, skews).  [Engine]
+    is the engine stats with [gc] zeroed — the one legitimately
+    run-dependent field. *)
+type field = Tree | Report | Engine | Repair | Arena
+
+(** The comparable outputs of one run; a field a run does not produce is
+    [None], and comparing it reports a violation rather than passing. *)
+type observation = {
+  routed : Clocktree.Tree.routed option;
+  report : Clocktree.Evaluate.report option;
+  engine : Dme.Engine.stats option;
+  repair : Clocktree.Repair.stats option;
+  arena : Clocktree.Arena.t option;
+}
+
+(** Routed tree, evaluation and engine stats of a router result. *)
+val of_result : Astskew.Router.result -> observation
+
+(** [diff fields a b] lists, in [fields] order, every difference between
+    [a] and [b] on those fields; floats compare with [=], so one ulp is a
+    difference.  The empty list means the two agree. *)
+val diff : field list -> observation -> observation -> string list
+
+(** [diff [Tree; Report; Engine]] of two router results: what the
+    router rows of {!invariance} and the bench identity gates compare. *)
+val route_diff : Astskew.Router.result -> Astskew.Router.result -> string list
+
+(** {1 Oracles} *)
+
 val routers : ?inject:bool -> Clocktree.Instance.t -> finding list
 
-(** Route with [jobs = 1] then with each entry of [jobs] (default
-    [[2; 4]]) and report any difference in tree structure, per-sink
-    delays, wirelength or trial-merge count. *)
-val par_identity : ?jobs:int list -> Clocktree.Instance.t -> finding list
+(** The rows of the invariance table, in table order. *)
+val row_names : string list
 
-(** Route untraced with [jobs = 1], then traced (fresh {!Obs.Trace})
-    with each entry of [jobs] (default [[1; 2]]) and report any
-    difference in tree structure, per-sink delays, wirelength or engine
-    stats (tracing must be semantically inert), any disagreement
-    between the journal's per-round sums (probes, trial merges, round
-    count) and the engine's aggregate stats, and any failure of the Chrome export to re-parse via
-    {!Obs.Json.of_string} with a non-empty [traceEvents] list. *)
-val trace_identity : ?jobs:int list -> Clocktree.Instance.t -> finding list
-
-(** Route unrecorded with [jobs = 1], then with a fresh {!Obs.Sched}
-    recorder and a muted {!Obs.Progress} reporter at each entry of
-    [jobs] (default [[1; 2; 4]]), and report any difference in tree
-    structure, per-sink delays, wirelength or engine stats (gc zeroed)
-    against a same-jobs unrecorded run — recording observes scheduling,
-    it must never steer it.  Additionally asserts the recorded result
-    carries an efficiency report with the right jobs count, a serial
-    fraction in [0, 1] and phase walls >= parallel walls, and that the
-    unrecorded result carries none. *)
-val sched_identity : ?jobs:int list -> Clocktree.Instance.t -> finding list
-
-(** Route flat with [jobs = 1], then clustered with [clusters = 1] for
-    each entry of [jobs] (default [[1; 2]]), and report any difference
-    in tree structure, per-sink delays, wirelength or engine stats (gc
-    zeroed): the degenerate single-region run must be bit-identical to
-    the flat router — partitioning, sub-instance re-indexing and the
-    top-level stitch all semantically invisible. *)
-val cluster_identity : ?jobs:int list -> Clocktree.Instance.t -> finding list
-
-(** Route clustered at [clusters = 4] with a forced [cluster_depth] of
-    1 (must be bit-identical to the default-depth run — tree, delays,
-    wirelength, aggregate engine stats with gc zeroed) and of 2 (must
-    be bit-identical across [jobs = 1] and each entry of [jobs],
-    default [[2; 4]], report a covering region set, realized depth 2
-    with non-empty super-stitch detail, and pass the full grouped
-    audit). *)
-val cluster_depth_identity :
-  ?jobs:int list -> Clocktree.Instance.t -> finding list
-
-(** Route once serially, then re-evaluate the routed tree through the
-    windowed kernels ([regions = 4] forced, each entry of [jobs],
-    default [[2; 4]]) and report any field of the report — delays,
-    wirelength, snaking, extrema, group skews — that is not bit-equal
-    to the serial evaluation. *)
-val evaluate_identity : ?jobs:int list -> Clocktree.Instance.t -> finding list
-
-(** Plan once with the AST engine, then embed arena-direct under each
-    entry of [jobs] (default [[1; 2; 4]]) and compare every arena
-    column — topology, sizes, sink ids, groups, caps, positions, edge
-    lengths — bit for bit against the recursive reference embedder's
-    tree flattened through [Arena.of_routed]. *)
-val embed_identity : ?jobs:int list -> Clocktree.Instance.t -> finding list
-
-(** Plan once with the AST engine, then repair under two decomposition
-    families — the default (auto regions, i.e. the pure global cycle on
-    oracle-sized instances) and a forced 4-way regional split that
-    exercises the regional-fixpoint machinery on every case — and
-    report any difference between the serial from-scratch repair
-    ([jobs = 1], [incremental = false]) and its incremental variants at
-    [jobs = 1] and each entry of [jobs] (default [[2; 4]]): tree
-    structure, per-sink delays and the full repair stats must be
-    bit-identical (see {!Clocktree.Repair}'s determinism contract). *)
-val repair_identity : ?jobs:int list -> Clocktree.Instance.t -> finding list
+(** [invariance ?rows inst] runs the selected rows of the invariance
+    table on [inst]: each [(name, jobs)] of [rows] runs that row at that
+    jobs list (default: every row at its own default jobs list, in table
+    order).  Each distinct run is made once and shared by every row that
+    compares it.  A row's findings are named after the row.  [plant] is
+    applied to each pair's variant observation before comparing, to
+    prove a row can fail (the default leaves it untouched).  Raises
+    [Invalid_argument] on a name not in {!row_names}. *)
+val invariance :
+  ?plant:(observation -> observation) ->
+  ?rows:(string * int list) list ->
+  Clocktree.Instance.t ->
+  finding list
 
 (** Audit the clustered router's output: the spatial partition covers
     every sink exactly once with non-empty regions
@@ -149,12 +137,20 @@ val clustered :
 
 val delay_models : ?resolution:int -> Clocktree.Instance.t -> finding list
 
-(** Every oracle in sequence; the empty list means the case passed.
-    [inject] deliberately snakes one leaf edge of the AST tree before
-    auditing, to prove violations are caught (used by the fuzz
+(** Every oracle in sequence — every invariance row at its default jobs
+    list — on one shared set of runs; the empty list means the case
+    passed.  [inject] deliberately snakes one leaf edge of the AST tree
+    before auditing, to prove violations are caught (used by the fuzz
     self-test). *)
 val all : ?inject:bool -> Clocktree.Instance.t -> finding list
 
-(** Re-run only the oracles whose names appear in [of_run], e.g. to check
-    that a shrunk instance still reproduces the original failure. *)
-val reproduces : ?inject:bool -> of_run:finding list -> Clocktree.Instance.t -> bool
+(** Re-run only the oracles named in [of_run] — invariance rows at the
+    jobs lists of [rows], as in {!invariance} — and report whether any
+    of them fails again, e.g. to check that a shrunk instance still
+    reproduces the original failure. *)
+val reproduces :
+  ?inject:bool ->
+  ?rows:(string * int list) list ->
+  of_run:finding list ->
+  Clocktree.Instance.t ->
+  bool

@@ -14,58 +14,50 @@ type summary = {
   elapsed_s : float;
 }
 
-let check ?inject (case : Gen.case) =
-  match Oracle.all ?inject case.instance with
-  | [] -> None
-  | findings ->
-    let shrunk =
-      Shrink.run
-        ~fails:(Oracle.reproduces ?inject ~of_run:findings)
-        case.instance
-    in
-    let shrunk_findings = Oracle.all ?inject shrunk in
-    Some { case; findings; shrunk; shrunk_findings }
-
-(* Huge cases run (and shrink against) the ranking-path, repair and
-   evaluation identity oracles alone: the full battery would take
-   minutes per 1500-sink instance, and scale stresses exactly the
-   ranking, repair and windowed-evaluation paths — which is what these
-   audit.  Par-identity checks jobs 2 and 4 against the serial run;
-   repair-identity at this size auto-derives multiple regions, so the
-   regional-fixpoint machinery is exercised against the serial
-   from-scratch pass on every huge case; sched-identity at jobs = 2 proves the flight recorder
-   stays inert exactly where its ledgers are busiest. *)
-let huge_oracles inst =
-  Oracle.par_identity inst
-  @ Oracle.repair_identity ~jobs:[ 2 ] inst
-  @ Oracle.evaluate_identity ~jobs:[ 2 ] inst
-  @ Oracle.sched_identity ~jobs:[ 2 ] inst
-
-(* Banked cases target the clustered path: the degenerate clusters=1 run
-   must be bit-identical to flat (at jobs 2, so region scheduling rides
-   along), a forced depth-2 hierarchy must be jobs-invariant and
-   audit-clean, and a genuinely clustered run must pass the full audit
-   under the global grouped contract. *)
-let banked_oracles inst =
-  Oracle.cluster_identity ~jobs:[ 2 ] inst
-  @ Oracle.cluster_depth_identity ~jobs:[ 2 ] inst
-  @ Oracle.clustered inst
-
-let oracles_for (regime : Gen.regime) =
-  match regime with
-  | Gen.Huge -> huge_oracles
-  | Gen.Banked -> banked_oracles
-  | _ -> assert false
-
-let check_scaled (case : Gen.case) =
-  let oracles = oracles_for case.regime in
+(* Run [oracles] on the case and shrink a failure, re-running only the
+   oracles its findings name ([rows]: the jobs lists [oracles] ran its
+   invariance rows at). *)
+let check_with ?inject ?rows oracles (case : Gen.case) =
   match oracles case.instance with
   | [] -> None
   | findings ->
-    let fails inst = oracles inst <> [] in
+    let fails = Oracle.reproduces ?inject ?rows ~of_run:findings in
     let shrunk = Shrink.run ~fails case.instance in
-    let shrunk_findings = oracles shrunk in
-    Some { case; findings; shrunk; shrunk_findings }
+    Some { case; findings; shrunk; shrunk_findings = oracles shrunk }
+
+let check ?inject case = check_with ?inject (Oracle.all ?inject) case
+
+(* Scaled cases run a row selection, each row at its own jobs list: the
+   full battery would take minutes per instance of thousands of sinks.
+   Huge stresses the ranking, repair, windowed-evaluation and recorder
+   paths: par-identity checks jobs 2 and 4 against the serial run,
+   repair-identity at this size auto-derives multiple regions (so the
+   regional fixpoints meet the serial from-scratch pass on every case),
+   and sched-identity at jobs 2 proves the flight recorder inert exactly
+   where its ledgers are busiest.  Banked targets the clustered path:
+   clusters=1 must equal flat at jobs 2 (region scheduling rides along),
+   a forced depth-2 hierarchy must be jobs-invariant and audit-clean,
+   and a genuinely clustered run must pass the full audit under the
+   global grouped contract. *)
+let scaled_rows (regime : Gen.regime) =
+  match regime with
+  | Gen.Huge ->
+    [
+      ("par-identity", [ 2; 4 ]);
+      ("repair-identity", [ 2 ]);
+      ("evaluate-identity", [ 2 ]);
+      ("sched-identity", [ 2 ]);
+    ]
+  | Gen.Banked ->
+    [ ("cluster-identity", [ 2 ]); ("cluster-depth-identity", [ 2 ]) ]
+  | _ -> assert false
+
+let scaled_oracles (regime : Gen.regime) inst =
+  Oracle.invariance ~rows:(scaled_rows regime) inst
+  @ if regime = Gen.Banked then Oracle.clustered inst else []
+
+let check_scaled (case : Gen.case) =
+  check_with ~rows:(scaled_rows case.regime) (scaled_oracles case.regime) case
 
 let run ?inject ?(progress = fun _ -> ()) ~cases ~seed () =
   let t0 = Obs.Timer.now () in
@@ -104,7 +96,7 @@ let run ?inject ?(progress = fun _ -> ()) ~cases ~seed () =
 let replay ?inject ?regime ~seed ~case () =
   let c = Gen.case ?regime ~seed ~index:case () in
   match c.regime with
-  | Gen.Huge | Gen.Banked -> (oracles_for c.regime) c.instance
+  | Gen.Huge | Gen.Banked -> scaled_oracles c.regime c.instance
   | _ -> Oracle.all ?inject c.instance
 
 let ok s = s.failures = []

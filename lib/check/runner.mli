@@ -5,14 +5,17 @@
     instance, and greedily shrinks any failure to a minimal repro.  It
     then appends [cases / 25] benchmark-scale cases (indices
     [cases ..]): even slots are {!Gen.Huge} checked against the
-    ranking-path, repair, evaluation and recorder identity oracles
-    ({!Oracle.par_identity} first), odd slots are {!Gen.Banked}
-    checked against the clustered-routing oracles
-    ({!Oracle.cluster_identity} and {!Oracle.clustered}) — the full
-    battery is far too slow at thousands of sinks.  The summary is
-    printable as JSON ({!json_of_summary}); a failing case's shrunk
-    instance is serialised with {!Clocktree.Io} so it can be frozen as
-    a regression test ({!repro_text}).
+    ["par-identity"] (jobs 2 and 4), ["repair-identity"],
+    ["evaluate-identity"] and ["sched-identity"] (jobs 2) rows of
+    {!Oracle.invariance}, odd slots are {!Gen.Banked} checked against
+    the ["cluster-identity"] and ["cluster-depth-identity"] rows (jobs 2)
+    and {!Oracle.clustered} — the full battery is far too slow at
+    thousands of sinks.  Shrinking, on either path, re-runs only the
+    oracles named in the original findings ({!Oracle.reproduces}), so
+    it chases that failure and no other.  The summary is printable as
+    JSON ({!json_of_summary}); a failing case's shrunk instance is
+    serialised with {!Clocktree.Io} so it can be frozen as a regression
+    test ({!repro_text}).
 
     [replay ~seed ~case ()] re-runs a single printed case — the entry
     point to paste from a failing CI log.  Pass [~regime:Gen.Huge] (or

@@ -22,7 +22,8 @@
     above anything that changed.  A clean node's inputs are bit-identical
     to its memo, so skipping it is exact, not approximate: incremental
     repair returns the same tree and stats bitwise as the from-scratch
-    walk (guarded by [Oracle.repair_identity]).
+    walk (guarded by the ["repair-identity"] row of
+    [Check.Oracle.invariance]).
 
     On large instances the cycle is also {e regional}: maximal subtrees
     of at most [ceil (nodes / k)] nodes (k the same auto target as

@@ -23,7 +23,8 @@
     windows fill on pool domains, disjoint index ranges of the shared
     arrays.  Every element is computed by the serial expressions from
     the same operands, so the arena is bit-identical to the serial walk
-    for any jobs count ([Check.Oracle.embed_identity] enforces this).
+    for any jobs count (the ["embed-identity"] row of
+    [Check.Oracle.invariance] enforces this).
 
     With [trace] enabled the whole embedding is wrapped in one
     ["embed"] span; the default {!Obs.Trace.null} emits nothing.  An

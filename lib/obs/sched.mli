@@ -17,8 +17,8 @@
     locking, no allocation and no clock reads to the hot path.  The
     recorder observes scheduling only — it never influences chunk
     assignment — so routed trees are bit-identical with the recorder on
-    or off (the [sched_identity] oracle in [Check.Oracle] enforces
-    this). *)
+    or off (the ["sched-identity"] row of [Check.Oracle.invariance]
+    enforces this). *)
 
 type t
 

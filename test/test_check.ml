@@ -301,7 +301,9 @@ let test_trace_oracle () =
   (* The trace-identity oracle on a generated instance: tracing is
      semantically inert and the journal agrees with the engine stats. *)
   let c = Check.Gen.case ~regime:Check.Gen.Intermingled ~seed:11L ~index:0 () in
-  match Check.Oracle.trace_identity ~jobs:[ 1; 2 ] c.instance with
+  match
+    Check.Oracle.invariance ~rows:[ ("trace-identity", [ 1; 2 ]) ] c.instance
+  with
   | [] -> ()
   | findings ->
     Alcotest.failf "trace identity violated:@ %a"
@@ -313,7 +315,9 @@ let test_sched_oracle () =
      scheduler recorder and progress heartbeat are semantically inert
      and every produced report is internally consistent. *)
   let c = Check.Gen.case ~regime:Check.Gen.Intermingled ~seed:13L ~index:0 () in
-  match Check.Oracle.sched_identity ~jobs:[ 1; 2; 4 ] c.instance with
+  match
+    Check.Oracle.invariance ~rows:[ ("sched-identity", [ 1; 2; 4 ]) ] c.instance
+  with
   | [] -> ()
   | findings ->
     Alcotest.failf "sched identity violated:@ %a"
@@ -330,13 +334,153 @@ let test_sched_oracle_r1_r3 () =
         Workload.Circuits.instance spec ~n_groups:8
           ~scheme:Workload.Partition.Intermingled ~bound:10. ()
       in
-      match Check.Oracle.sched_identity ~jobs:[ 1; 2; 4 ] inst with
+      match
+        Check.Oracle.invariance ~rows:[ ("sched-identity", [ 1; 2; 4 ]) ] inst
+      with
       | [] -> ()
       | findings ->
         Alcotest.failf "%s: sched identity violated:@ %a" name
           (Format.pp_print_list Check.Oracle.pp_finding)
           findings)
     [ "r1"; "r3" ]
+
+(* --- the invariance table can fail ---------------------------------------- *)
+
+let oracle_names findings =
+  List.map (fun (f : Check.Oracle.finding) -> f.oracle) findings
+
+(* The fields each row must compare.  A row missing here fails
+   [test_rows_not_vacuous], so a new row cannot land untested. *)
+let row_fields =
+  let open Check.Oracle in
+  [
+    ("par-identity", [ Tree; Report; Engine ]);
+    ("trace-identity", [ Tree; Report; Engine ]);
+    ("sched-identity", [ Tree; Report; Engine ]);
+    ("cluster-identity", [ Tree; Report; Engine ]);
+    ("cluster-depth-identity", [ Tree; Report; Engine ]);
+    ("repair-identity", [ Tree; Report; Repair ]);
+    ("evaluate-identity", [ Report ]);
+    ("embed-identity", [ Arena ]);
+  ]
+
+(* One-field differences planted into every variant a row compares: a
+   longer source wire, one ulp on one sink delay, +1 on one engine or
+   repair stat, one changed arena cell. *)
+let plants =
+  let open Check.Oracle in
+  [
+    ( "tree",
+      Tree,
+      fun o ->
+        {
+          o with
+          routed =
+            Option.map
+              (fun (r : Tree.routed) ->
+                { r with source_len = r.source_len +. 1. })
+              o.routed;
+        } );
+    ( "sink delay",
+      Report,
+      fun o ->
+        {
+          o with
+          report =
+            Option.map
+              (fun (r : Evaluate.report) ->
+                let delays = Array.copy r.delays in
+                delays.(0) <- Float.succ delays.(0);
+                { r with delays })
+              o.report;
+        } );
+    ( "engine stat",
+      Engine,
+      fun o ->
+        {
+          o with
+          engine =
+            Option.map
+              (fun (s : Dme.Engine.stats) -> { s with rounds = s.rounds + 1 })
+              o.engine;
+        } );
+    ( "repair stat",
+      Repair,
+      fun o ->
+        {
+          o with
+          repair =
+            Option.map
+              (fun (s : Repair.stats) -> { s with cycles = s.cycles + 1 })
+              o.repair;
+        } );
+    ( "arena cell",
+      Arena,
+      fun o ->
+        {
+          o with
+          arena =
+            Option.map
+              (fun (a : Arena.t) ->
+                let len = Array.copy a.len in
+                len.(0) <- len.(0) +. 1.;
+                { a with len })
+              o.arena;
+        } );
+  ]
+
+let plant_case () =
+  (Check.Gen.case ~regime:Check.Gen.Intermingled ~seed:11L ~index:0 ())
+    .instance
+
+let test_rows_not_vacuous () =
+  let inst = plant_case () in
+  Alcotest.(check (list string))
+    "every row has its fields listed"
+    (List.sort compare Check.Oracle.row_names)
+    (List.sort compare (List.map fst row_fields));
+  Alcotest.(check (list string))
+    "unplanted rows pass" []
+    (oracle_names (Check.Oracle.invariance inst));
+  List.iter
+    (fun (what, field, plant) ->
+      let hit = oracle_names (Check.Oracle.invariance ~plant inst) in
+      List.iter
+        (fun (row, fields) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s flags a planted %s" row what)
+            (List.mem field fields) (List.mem row hit))
+        row_fields)
+    plants
+
+let test_crash_keeps_row_name () =
+  let inst = plant_case () in
+  let crash _ = failwith "planted crash" in
+  let rows = [ ("par-identity", [ 2 ]); ("embed-identity", [ 1 ]) ] in
+  let findings = Check.Oracle.invariance ~plant:crash ~rows inst in
+  Alcotest.(check (list (pair string (list string))))
+    "each crash is filed under its own row"
+    [ ("par-identity", [ "exception" ]); ("embed-identity", [ "exception" ]) ]
+    (List.map
+       (fun (f : Check.Oracle.finding) ->
+         let invariant (v : Check.Audit.violation) = v.invariant in
+         (f.oracle, List.map invariant f.violations))
+       findings);
+  (* Shrinking re-runs only the oracles the original findings name: the
+     injected skew violation (an ast-dme / mmm-dme / clustered failure)
+     reproduces an ast-dme finding but never a row's crash. *)
+  let ast =
+    List.filter
+      (fun (f : Check.Oracle.finding) -> f.oracle = "ast-dme")
+      (Check.Oracle.all ~inject:true inst)
+  in
+  Alcotest.(check bool) "injection fails ast-dme" true (ast <> []);
+  Alcotest.(check bool) "an ast-dme failure reproduces" true
+    (Check.Oracle.reproduces ~inject:true ~of_run:ast inst);
+  Alcotest.(check bool) "another oracle's failure is not the crash" false
+    (Check.Oracle.reproduces ~inject:true ~of_run:findings inst);
+  Alcotest.(check bool) "a clean row does not reproduce its crash" false
+    (Check.Oracle.reproduces ~rows ~of_run:findings inst)
 
 let test_replay_matches_run () =
   let findings = Check.replay ~seed:7L ~case:3 () in
@@ -569,6 +713,10 @@ let () =
           Alcotest.test_case "trace oracle" `Slow test_trace_oracle;
           Alcotest.test_case "sched oracle" `Slow test_sched_oracle;
           Alcotest.test_case "sched oracle r1/r3" `Slow test_sched_oracle_r1_r3;
+          Alcotest.test_case "invariance rows not vacuous" `Quick
+            test_rows_not_vacuous;
+          Alcotest.test_case "crash keeps its row name" `Quick
+            test_crash_keeps_row_name;
           Alcotest.test_case "replay + determinism" `Slow
             test_replay_matches_run;
           Alcotest.test_case "injected violation caught + shrunk" `Slow

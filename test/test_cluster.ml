@@ -143,7 +143,7 @@ let test_identity_small () =
     "clusters=1 is bit-identical to flat" []
     (List.map
        (fun (f : Check.Oracle.finding) -> f.oracle)
-       (Check.Oracle.cluster_identity ~jobs:[ 1; 4 ] inst))
+       (Check.Oracle.invariance ~rows:[ ("cluster-identity", [ 1; 4 ]) ] inst))
 
 let test_identity_circuit name () =
   let inst = circuit name in
@@ -151,7 +151,7 @@ let test_identity_circuit name () =
     "clusters=1 is bit-identical to flat" []
     (List.map
        (fun (f : Check.Oracle.finding) -> f.oracle)
-       (Check.Oracle.cluster_identity ~jobs:[ 1; 4 ] inst))
+       (Check.Oracle.invariance ~rows:[ ("cluster-identity", [ 1; 4 ]) ] inst))
 
 let test_jobs_deterministic () =
   (* A genuinely clustered run must not depend on the pool size. *)
@@ -210,7 +210,9 @@ let test_depth_identity_small () =
     "depth-2 hierarchy: depth-1 identity + jobs determinism" []
     (List.map
        (fun (f : Check.Oracle.finding) -> f.oracle)
-       (Check.Oracle.cluster_depth_identity ~jobs:[ 2 ] inst))
+       (Check.Oracle.invariance
+          ~rows:[ ("cluster-depth-identity", [ 2 ]) ]
+          inst))
 
 let test_depth_identity_circuit () =
   let inst = circuit "r1" in
@@ -218,7 +220,9 @@ let test_depth_identity_circuit () =
     "depth-2 hierarchy: depth-1 identity + jobs determinism" []
     (List.map
        (fun (f : Check.Oracle.finding) -> f.oracle)
-       (Check.Oracle.cluster_depth_identity ~jobs:[ 1; 4 ] inst))
+       (Check.Oracle.invariance
+          ~rows:[ ("cluster-depth-identity", [ 1; 4 ]) ]
+          inst))
 
 let test_clustered_audit_clean () =
   let inst = circuit "r2" in

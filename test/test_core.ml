@@ -155,10 +155,8 @@ let test_trace_identity () =
       Alcotest.(check bool)
         (Printf.sprintf "engine stats identical (jobs=%d)" jobs)
         true
-        (let degc (s : Dme.Engine.stats) =
-           { s with gc = Obs.Gcstat.zero }
-         in
-         degc base.engine = degc traced.engine);
+        (Check.Oracle.(
+           diff [ Engine ] (of_result base) (of_result traced) = []));
       let rounds =
         List.filter_map
           (function

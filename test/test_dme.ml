@@ -288,7 +288,9 @@ let prop_embed_arena_identity =
         Check.Gen.case ~regime:regimes.(index) ~seed:(Int64.of_int seed)
           ~index ()
       in
-      Check.Oracle.embed_identity ~jobs:[ 1; 2; 4 ] case.Check.Gen.instance
+      Check.Oracle.invariance
+        ~rows:[ ("embed-identity", [ 1; 2; 4 ]) ]
+        case.Check.Gen.instance
       = [])
 
 (* The Banked regime (10^3—4*10^3 sinks in dense banks) rides the same
@@ -299,7 +301,9 @@ let test_embed_identity_banked () =
     "banked embed identity" []
     (List.map
        (fun (f : Check.Oracle.finding) -> f.oracle)
-       (Check.Oracle.embed_identity ~jobs:[ 2 ] case.Check.Gen.instance))
+       (Check.Oracle.invariance
+          ~rows:[ ("embed-identity", [ 2 ]) ]
+          case.Check.Gen.instance))
 
 (* A 240k-node left-deep merge plan: the iterative arena embed must
    walk it in constant stack (the recursive reference embedder would
@@ -338,16 +342,6 @@ let test_engine_stats_add_up () =
 
 (* --- Parallel ranking determinism ---------------------------------------- *)
 
-let rec tree_equal a b =
-  match (a, b) with
-  | Tree.Leaf s1, Tree.Leaf s2 -> s1.Sink.id = s2.Sink.id
-  | Tree.Node n1, Tree.Node n2 ->
-    Pt.equal n1.pos n2.pos
-    && n1.llen = n2.llen && n1.rlen = n2.rlen
-    && tree_equal n1.left n2.left
-    && tree_equal n1.right n2.right
-  | _ -> false
-
 let test_parallel_bit_identical () =
   (* Parallel cost ranking must be a pure speedup: jobs=1 and jobs=4
      must produce bit-identical trees — positions, exact edge lengths,
@@ -365,9 +359,7 @@ let test_parallel_bit_identical () =
       Alcotest.(check bool)
         (name ^ ": identical topology and embedding")
         true
-        (tree_equal serial.routed.tree par.routed.tree
-        && Pt.equal serial.routed.source par.routed.source
-        && serial.routed.source_len = par.routed.source_len);
+        (Check.Audit.tree_equal serial.routed par.routed);
       Alcotest.(check bool)
         (name ^ ": identical wirelength/skews")
         true
