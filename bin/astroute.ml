@@ -194,6 +194,37 @@ let load_instance ?file circuit groups scheme bound seed =
 let print_result name (r : Astskew.Router.result) =
   Format.printf "%-11s %a@." name Astskew.Router.pp_result r
 
+(* Exit code for a repair that did not converge: the tree is printed and
+   written as usual, but a group may be left over its bound. *)
+let repair_failed = 3
+
+let exits =
+  Cmd.Exit.info 1 ~doc:"on bad input or when an output file cannot be written."
+  :: Cmd.Exit.info repair_failed
+       ~doc:
+         "when skew repair did not converge: its cycle budget ran out or a \
+          sink group is left over its bound.  The summary, $(b,--stats-json) \
+          and $(b,--svg) are still written."
+  :: Cmd.Exit.defaults
+
+(* [repair_failed] when some result's repair did not converge, after
+   saying which on stderr; 0 otherwise. *)
+let repair_code results =
+  List.fold_left
+    (fun code (name, (r : Astskew.Router.result)) ->
+      let s = r.repair in
+      if s.budget_exhausted || s.unresolved_groups > 0 then begin
+        Format.eprintf
+          "astroute: repair did not converge: %s: %d unresolved groups%s, max \
+           group skew %.3f ps@."
+          name s.unresolved_groups
+          (if s.budget_exhausted then ", cycle budget exhausted" else "")
+          r.evaluation.max_group_skew;
+        repair_failed
+      end
+      else code)
+    0 results
+
 let route_cmd =
   let run circuit groups scheme bound seed algo file svg stats_json jobs
       clustered clusters cluster_depth repair_max_cycles
@@ -275,7 +306,8 @@ let route_cmd =
            | Some path -> write_stats_json path [ (name, r) ]
            | None -> 0
          in
-         Int.max svg_code (Int.max trace_code stats_code)
+         List.fold_left Int.max (repair_code [ (name, r) ])
+           [ svg_code; trace_code; stats_code ]
       end
   in
   let term =
@@ -285,7 +317,9 @@ let route_cmd =
       $ clustered_arg $ clusters_arg $ cluster_depth_arg $ repair_max_cycles_arg $ progress_arg $ trace_arg
       $ trace_journal_arg)
   in
-  Cmd.v (Cmd.info "route" ~doc:"Route one circuit with one algorithm.") term
+  Cmd.v
+    (Cmd.info "route" ~exits ~doc:"Route one circuit with one algorithm.")
+    term
 
 let gen_cmd =
   let out =
@@ -338,27 +372,30 @@ let compare_cmd =
       print_result "AST-DME" ast;
       Format.printf "AST-DME reduction vs EXT-BST: %.2f%%@."
         (100. *. Astskew.Router.reduction ~baseline:ext ast);
+      let results =
+        [
+          ("greedy-DME", zst);
+          ("EXT-BST", ext);
+          ("MMM-DME", mmm);
+          ("AST-DME", ast);
+        ]
+      in
       let trace_code = write_trace_files ~trace_file ~journal_file trace in
       let stats_code =
         match stats_json with
-        | Some path ->
-          write_stats_json path
-            [
-              ("greedy-DME", zst);
-              ("EXT-BST", ext);
-              ("MMM-DME", mmm);
-              ("AST-DME", ast);
-            ]
+        | Some path -> write_stats_json path results
         | None -> 0
       in
-      Int.max trace_code stats_code
+      List.fold_left Int.max (repair_code results) [ trace_code; stats_code ]
   in
   let term =
     Term.(
       const run $ circuit_arg $ groups_arg $ scheme_arg $ bound_arg $ seed_arg
       $ file_arg $ stats_json_arg $ jobs_arg $ clustered_arg $ clusters_arg $ trace_arg $ trace_journal_arg)
   in
-  Cmd.v (Cmd.info "compare" ~doc:"Compare all routers on one instance.") term
+  Cmd.v
+    (Cmd.info "compare" ~exits ~doc:"Compare all routers on one instance.")
+    term
 
 let table_cmd =
   let which =

@@ -164,24 +164,29 @@ let total_edge_length a =
    Tree.to_rctree lumps it. *)
 let half (p : Rc.Wire.params) len = p.c *. len /. 2.
 
-let downstream_rc_range ~into ~lo ~hi a =
+let[@inline] downstream_rc_node ~into a v =
   let p = a.params in
+  let l = a.left.(v) in
+  if l < 0 then into.(v) <- a.scap.(v) +. half p a.len.(v)
+  else begin
+    let r = a.right.(v) in
+    (* Rctree.downstream_cap's reverse scan folds the right child in
+       before the left (higher indexes first); keep that order. *)
+    into.(v) <-
+      half p a.len.(v) +. half p a.len.(l) +. half p a.len.(r)
+      +. into.(r) +. into.(l)
+  end
+
+let downstream_rc_range ~into ~lo ~hi a =
   for v = lo to hi do
-    let l = a.left.(v) in
-    if l < 0 then into.(v) <- a.scap.(v) +. half p a.len.(v)
-    else begin
-      let r = a.right.(v) in
-      (* Rctree.downstream_cap's reverse scan folds the right child in
-         before the left (higher indexes first); keep that order. *)
-      into.(v) <-
-        half p a.len.(v) +. half p a.len.(l) +. half p a.len.(r)
-        +. into.(r) +. into.(l)
-    end
+    downstream_rc_node ~into a v
   done
+
+let source_load ~down a = half a.params a.source_len +. down.(a.n - 1)
 
 let downstream_rc ~into a =
   downstream_rc_range ~into ~lo:0 ~hi:(a.n - 1) a;
-  half a.params a.source_len +. into.(a.n - 1)
+  source_load ~down:into a
 
 let elmore_range ~down ~root_delay ~into ~lo ~hi a =
   let k = Rc.Wire.ps_per_ohm_ff in
@@ -191,14 +196,14 @@ let elmore_range ~down ~root_delay ~into ~lo ~hi a =
       into.(a.parent.(v)) +. (k *. (a.params.r *. a.len.(v)) *. down.(v))
   done
 
-let elmore ~down ~down0 ~into a =
+let root_delay ~down ~down0 a =
   let k = Rc.Wire.ps_per_ohm_ff in
-  let d0 = k *. a.rd *. down0 in
   let root = a.n - 1 in
-  let root_delay =
-    d0 +. (k *. (a.params.r *. a.len.(root)) *. down.(root))
-  in
-  elmore_range ~down ~root_delay ~into ~lo:0 ~hi:root a
+  (k *. a.rd *. down0) +. (k *. (a.params.r *. a.len.(root)) *. down.(root))
+
+let elmore ~down ~down0 ~into a =
+  elmore_range ~down ~root_delay:(root_delay ~down ~down0 a) ~into ~lo:0
+    ~hi:(a.n - 1) a
 
 let delays_by_sink ~delay ~into a =
   for v = 0 to a.n - 1 do
@@ -251,37 +256,36 @@ let windows ?count a =
    spine node (windows are whole subtrees), so evaluation order along
    gaps is well-founded in both directions. *)
 
+let gaps ~windows a =
+  let out = ref [] and idx = ref (a.n - 1) in
+  for w = Array.length windows - 1 downto 0 do
+    let lo, hi = windows.(w) in
+    if hi < !idx then out := (hi + 1, !idx) :: !out;
+    idx := lo - 1
+  done;
+  if !idx >= 0 then out := (0, !idx) :: !out;
+  Array.of_list !out
+
 let downstream_rc_gaps ~into ~windows a =
-  let idx = ref 0 in
   Array.iter
-    (fun (lo, hi) ->
-      if !idx < lo then downstream_rc_range ~into ~lo:!idx ~hi:(lo - 1) a;
-      idx := hi + 1)
-    windows;
-  if !idx <= a.n - 1 then downstream_rc_range ~into ~lo:!idx ~hi:(a.n - 1) a;
-  half a.params a.source_len +. into.(a.n - 1)
+    (fun (lo, hi) -> downstream_rc_range ~into ~lo ~hi a)
+    (gaps ~windows a);
+  source_load ~down:into a
 
 let elmore_gaps ~down ~down0 ~into ~windows a =
   let k = Rc.Wire.ps_per_ohm_ff in
   let root = a.n - 1 in
-  let root_delay =
-    (k *. a.rd *. down0) +. (k *. (a.params.r *. a.len.(root)) *. down.(root))
-  in
-  let fill lo hi =
+  let root_delay = root_delay ~down ~down0 a in
+  let g = gaps ~windows a in
+  for i = Array.length g - 1 downto 0 do
+    let lo, hi = g.(i) in
     for v = hi downto lo do
       if v = root then into.(v) <- root_delay
       else
         into.(v) <-
           into.(a.parent.(v)) +. (k *. (a.params.r *. a.len.(v)) *. down.(v))
     done
-  in
-  let idx = ref (a.n - 1) in
-  for w = Array.length windows - 1 downto 0 do
-    let lo, hi = windows.(w) in
-    if hi < !idx then fill (hi + 1) !idx;
-    idx := lo - 1
-  done;
-  if !idx >= 0 then fill 0 !idx
+  done
 
 (* Top-down fill of one window, deriving the window root's delay from
    its (already computed) parent — the identical expression the full
@@ -294,14 +298,9 @@ let elmore_window ~down ~into ~lo ~hi a =
   elmore_range ~down ~root_delay ~into ~lo ~hi a
 
 let delays_by_sink_gaps ~delay ~into ~windows a =
-  let idx = ref 0 in
   Array.iter
-    (fun (lo, hi) ->
-      if !idx < lo then delays_by_sink_range ~delay ~into ~lo:!idx ~hi:(lo - 1) a;
-      idx := hi + 1)
-    windows;
-  if !idx <= a.n - 1 then
-    delays_by_sink_range ~delay ~into ~lo:!idx ~hi:(a.n - 1) a
+    (fun (lo, hi) -> delays_by_sink_range ~delay ~into ~lo ~hi a)
+    (gaps ~windows a)
 
 let wirelength a =
   let w = Array.make a.n 0. in

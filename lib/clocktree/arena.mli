@@ -67,6 +67,16 @@ val total_edge_length : t -> float
     driver). *)
 val downstream_rc : into:float array -> t -> float
 
+(** The [down0] that {!downstream_rc} returns, read off a filled
+    [down] array: half the source wire plus the root's value. *)
+val source_load : down:float array -> t -> float
+
+(** One node of {!downstream_rc}: refreshes [into.(v)] from [v]'s edge
+    lengths and its children's [into] values with the full kernel's
+    expression.  Lets a caller that knows which lengths changed keep a
+    memo current without a full pass. *)
+val downstream_rc_node : into:float array -> t -> int -> unit
+
 (** {!downstream_rc} restricted to the contiguous subtree range
     [lo, hi] (a node and its descendants).  Fills only that window of
     [into]; no source term. *)
@@ -76,6 +86,10 @@ val downstream_rc_range : into:float array -> lo:int -> hi:int -> t -> unit
     at node [v] given the downstream caps of {!downstream_rc} —
     bit-identical to {!Rc.Rctree.elmore}. *)
 val elmore : down:float array -> down0:float -> into:float array -> t -> unit
+
+(** The root's delay as {!elmore} computes it: the driver term from
+    [down0] plus the source wire's term. *)
+val root_delay : down:float array -> down0:float -> t -> float
 
 (** {!elmore} restricted to the subtree range [lo, hi]:
     [into.(hi) <- root_delay] and descendants accumulate from it.
@@ -110,6 +124,10 @@ val delays_by_sink_range :
     1000))]); below 2 the result is empty.  This is the same
     decomposition the repair pass uses for its regional fixpoints. *)
 val windows : ?count:int -> t -> (int * int) array
+
+(** The spine of a window decomposition: the ascending index ranges
+    outside every window (the root's range last). *)
+val gaps : windows:(int * int) array -> t -> (int * int) array
 
 (** Serial spine complement of {!downstream_rc} over a window
     decomposition: fills every node {e outside} the windows (ascending

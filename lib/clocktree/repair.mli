@@ -20,9 +20,11 @@
     revisit only the dirty frontier — nodes whose own edges were
     adjusted (by balance ulp-chasing or a lift sweep) plus the nodes
     above anything that changed.  A clean node's inputs are bit-identical
-    to its memo, so skipping it is exact, not approximate: incremental
-    repair returns the same tree and stats bitwise as the from-scratch
-    walk (guarded by the ["repair-identity"] row of
+    to its memo, so skipping it is exact, not approximate.  The global
+    cycle finds that frontier from a worklist instead of a scan, so a
+    pass costs in proportion to the nodes it changes plus one delay
+    pass.  Incremental repair returns the same tree and stats bitwise
+    as the from-scratch walk (guarded by the ["repair-identity"] row of
     [Check.Oracle.invariance]).
 
     On large instances the cycle is also {e regional}: maximal subtrees
@@ -48,9 +50,13 @@ type config = {
   jobs : int;  (** worker domains for the regional phase; default
           [Par.Pool.default_jobs ()] *)
   incremental : bool;
-      (** revisit only the dirty frontier between cycles; [false] forces
-          the from-scratch walk every pass (same result bitwise — this
-          knob exists for the identity oracle and for debugging) *)
+      (** [true] (the default) revisits only the dirty frontier: the
+          regional fixpoints find it by a flag scan, the global cycle
+          from worklists (a min-heap of dirty nodes for balance, one
+          fused delay-and-extents pass, lifts over the pure-group
+          subtrees only).  [false] runs the full-scan walk, every node
+          in every pass: the specification the default must match bit
+          for bit, kept for the identity oracle and for debugging *)
   regions : int option;
       (** regional-fixpoint target count: [None] derives
           [clamp 1 64 (ceil (n_sinks / 1000))] (below 2 the regional

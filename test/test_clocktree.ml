@@ -177,18 +177,39 @@ let gen_repair_case =
     let* bound = oneofl [ 0.; 5.; 10. ] in
     return (coords, groups, caps, n_groups, bound))
 
+(* The instance and greedily paired tree of a [gen_repair_case] draw. *)
+let repair_case (coords, groups, caps, n_groups, bound) =
+  let sinks =
+    List.mapi
+      (fun i ((x, y), (g, cap)) -> Sink.make ~id:i ~loc:(pt x y) ~cap ~group:g)
+      (List.combine coords (List.combine groups caps))
+  in
+  let inst =
+    Instance.make ~bound ~source:(pt 0. 0.) ~n_groups (Array.of_list sinks)
+  in
+  (inst, Tree.route (pt 0. 0.) (random_topology sinks))
+
+(* Uniform random sinks (group [i mod n_groups]) under a greedily
+   paired tree. *)
+let random_case ~seed ~n ~n_groups ~bound =
+  let rng = Workload.Rng.create seed in
+  let sinks =
+    List.init n (fun i ->
+        sink i
+          (Workload.Rng.float_range rng 0. 20000.)
+          (Workload.Rng.float_range rng 0. 20000.)
+          (i mod n_groups))
+  in
+  let inst =
+    Instance.make ~bound ~source:(pt 0. 0.) ~n_groups (Array.of_list sinks)
+  in
+  (inst, Tree.route (pt 0. 0.) (random_topology sinks))
+
 let prop_repair_enforces_bound =
   QCheck.Test.make ~name:"repair enforces intra-group bound" ~count:200
     (QCheck.make gen_repair_case)
-    (fun (coords, groups, caps, n_groups, bound) ->
-      let sinks =
-        List.mapi
-          (fun i ((x, y), (g, cap)) -> Sink.make ~id:i ~loc:(pt x y) ~cap ~group:g)
-          (List.combine coords (List.combine groups caps))
-      in
-      let arr = Array.of_list sinks in
-      let inst = Instance.make ~bound ~source:(pt 0. 0.) ~n_groups arr in
-      let routed = Tree.route (pt 0. 0.) (random_topology sinks) in
+    (fun case ->
+      let inst, routed = repair_case case in
       let repaired, stats = Repair.run inst routed in
       let report = Evaluate.run inst repaired in
       stats.unresolved_groups = 0 && Evaluate.within_bound inst report)
@@ -245,20 +266,7 @@ let test_deep_comb_stack_safety () =
    every node's value with the serial expression from the serial
    operands, so no jobs/regions decomposition may move a single ulp. *)
 let test_evaluate_windowed_identity () =
-  let rng = Workload.Rng.create 9L in
-  let n = 500 in
-  let sinks =
-    List.init n (fun i ->
-        sink i
-          (Workload.Rng.float_range rng 0. 20000.)
-          (Workload.Rng.float_range rng 0. 20000.)
-          (i mod 5))
-  in
-  let inst =
-    Instance.make ~bound:10. ~source:(pt 0. 0.) ~n_groups:5
-      (Array.of_list sinks)
-  in
-  let routed = Tree.route (pt 0. 0.) (random_topology sinks) in
+  let inst, routed = random_case ~seed:9L ~n:500 ~n_groups:5 ~bound:10. in
   let serial = Evaluate.run ~jobs:1 inst routed in
   List.iter
     (fun (jobs, regions) ->
@@ -330,6 +338,135 @@ let test_repair_default_budget_converges () =
   Alcotest.(check int) "no unresolved" 0 stats.unresolved_groups;
   let report = Evaluate.run inst repaired in
   Alcotest.(check bool) "within bound" true (Evaluate.within_bound inst report)
+
+(* --- Repair: worklist global cycle vs the full-scan spec ------------------ *)
+
+(* The default (worklist) global cycle must reproduce the full-scan walk
+   ([incremental = false], jobs 1) bit for bit: every edge length and
+   every stat, for any jobs count. *)
+let float_bits_equal x y = Int64.bits_of_float x = Int64.bits_of_float y
+
+let repair_stats_equal (s : Repair.stats) (t : Repair.stats) =
+  float_bits_equal s.added_wire t.added_wire
+  && s.adjusted_edges = t.adjusted_edges
+  && s.conflict_nodes = t.conflict_nodes
+  && s.lift_iterations = t.lift_iterations
+  && s.unresolved_groups = t.unresolved_groups
+  && s.cycles = t.cycles
+  && s.budget_exhausted = t.budget_exhausted
+
+let worklist_matches_spec ?(max_cycles = Repair.default_config.max_cycles)
+    ?regions (inst : Instance.t) routed =
+  let spec = { Repair.max_cycles; jobs = 1; incremental = false; regions } in
+  let repaired config =
+    let a = Arena.of_routed inst.params ~rd:inst.rd routed in
+    let stats = Repair.run_arena ~config inst a in
+    (a.Arena.len, stats)
+  in
+  let len0, stats0 = repaired spec in
+  List.for_all
+    (fun jobs ->
+      let len, stats = repaired { spec with incremental = true; jobs } in
+      repair_stats_equal stats stats0
+      && Array.for_all2 float_bits_equal len len0)
+    [ 1; 2; 4 ]
+
+(* One group: the whole tree is a single pure subtree rooted at the
+   arena root, whose amount stays 0. *)
+let test_worklist_single_group () =
+  let inst, routed = random_case ~seed:3L ~n:300 ~n_groups:1 ~bound:0. in
+  Alcotest.(check bool) "auto regions" true (worklist_matches_spec inst routed);
+  Alcotest.(check bool) "16 regions" true
+    (worklist_matches_spec ~regions:16 inst routed)
+
+let test_worklist_exhaustion () =
+  let inst, routed = exhaustion_case () in
+  List.iter
+    (fun max_cycles ->
+      Alcotest.(check bool)
+        (Printf.sprintf "max_cycles %d" max_cycles)
+        true
+        (worklist_matches_spec ~max_cycles inst routed))
+    [ 0; 1 ]
+
+(* [Some 1] leaves no windows (serial evaluation, one residual store);
+   [Some 64] splits the tree into many small windows. *)
+let test_worklist_regions () =
+  let inst, routed = random_case ~seed:11L ~n:1500 ~n_groups:4 ~bound:5. in
+  List.iter
+    (fun regions ->
+      Alcotest.(check bool)
+        (Printf.sprintf "regions %d" regions)
+        true
+        (worklist_matches_spec ~regions inst routed))
+    [ 1; 64 ]
+
+(* A planned (unrepaired) AST-DME tree under a zero bound: hundreds of
+   cycles whose balance passes re-adjust edges, so skipping a node whose
+   own edge changed last pass (instead of re-balancing it) drifts the
+   memos and changes the answer. *)
+let test_worklist_routed_zero_bound () =
+  let spec =
+    { Workload.Circuits.name = "s500"; n_sinks = 500; die = 2000. *. sqrt 500. }
+  in
+  let inst =
+    Workload.Circuits.instance ~seed:1L spec ~n_groups:8
+      ~scheme:Workload.Partition.Intermingled ~bound:0. ()
+  in
+  let arena, _, _ =
+    Dme.Cluster.run_arena
+      ~config:{ Astskew.Router.ast_default_config with jobs = 1 }
+      inst
+  in
+  let routed = Arena.to_routed arena in
+  Alcotest.(check bool) "auto regions" true (worklist_matches_spec inst routed);
+  Alcotest.(check bool) "16 regions" true
+    (worklist_matches_spec ~regions:16 inst routed)
+
+(* One pure group-0 subtree u = (x, y) under a conflicted mixed merge,
+   with x = (z, w) two mirror copies of z = (c, d).  The mirror ties
+   the min deficits of z and w exactly, so one lift sweep lifts c's
+   edge (and its mirror's) but neither of x's child edges, then lifts
+   u's own edge.  That last lift reads u's downstream cap, which holds
+   x's, and x's moved only through its grandchildren: the sweep must
+   refresh caps all the way up, not only at nodes whose child edges it
+   lifted. *)
+let nested_lift_case () =
+  let o = pt 0. 0. in
+  let c = sink 0 0. 0. 0 and d = sink 1 0. 0. 0 in
+  let e = sink 2 0. 0. 0 and f = sink 3 0. 0. 0 in
+  let y = sink 4 0. 0. 0 in
+  let z = Tree.node o (Tree.Leaf c) (Tree.Leaf d) ~llen:0. ~rlen:300. in
+  let w = Tree.node o (Tree.Leaf e) (Tree.Leaf f) ~llen:0. ~rlen:300. in
+  let x = Tree.node o z w ~llen:0. ~rlen:0. in
+  let u = Tree.node o x (Tree.Leaf y) ~llen:0. ~rlen:0. in
+  let s1 = sink 5 0. 25000. 1 in
+  let s2 = sink 6 (-20000.) 0. 0 and s3 = sink 7 (-20000.) 20000. 1 in
+  let a = Tree.node o u (Tree.Leaf s1) ~llen:0. ~rlen:25000. in
+  let b =
+    Tree.node (pt (-20000.) 0.) (Tree.Leaf s2) (Tree.Leaf s3) ~llen:0.
+      ~rlen:20000.
+  in
+  let src = pt (-10000.) 0. in
+  let top = Tree.node src b a ~llen:10000. ~rlen:10000. in
+  let inst =
+    Instance.make ~bound:1. ~source:src ~n_groups:2
+      [| c; d; e; f; y; s1; s2; s3 |]
+  in
+  (inst, Tree.route src top)
+
+let test_worklist_nested_lift () =
+  let inst, routed = nested_lift_case () in
+  Alcotest.(check bool) "auto regions" true (worklist_matches_spec inst routed)
+
+let prop_worklist_matches_spec =
+  QCheck.Test.make ~name:"worklist repair = full-scan repair, bit for bit"
+    ~count:100
+    (QCheck.make gen_repair_case)
+    (fun case ->
+      let inst, routed = repair_case case in
+      worklist_matches_spec inst routed
+      && worklist_matches_spec ~regions:4 inst routed)
 
 (* --- Per-group bounds ----------------------------------------------------- *)
 
@@ -475,6 +612,18 @@ let () =
             test_repair_default_budget_converges;
         ]
         @ qsuite [ prop_arena_roundtrip ] );
+      ( "worklist",
+        [
+          Alcotest.test_case "single group" `Quick test_worklist_single_group;
+          Alcotest.test_case "budget exhaustion" `Quick
+            test_worklist_exhaustion;
+          Alcotest.test_case "regions 1 and 64" `Quick test_worklist_regions;
+          Alcotest.test_case "routed tree, zero bound" `Quick
+            test_worklist_routed_zero_bound;
+          Alcotest.test_case "nested pure-subtree lift" `Quick
+            test_worklist_nested_lift;
+        ]
+        @ qsuite [ prop_worklist_matches_spec ] );
       ( "bounds",
         [ Alcotest.test_case "per-group accessors" `Quick test_per_group_bounds ] );
       ( "io",
