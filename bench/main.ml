@@ -248,7 +248,8 @@ let par_bench ?(circuits = default_circuits) () =
 let smoke_cells_per_query = [ ("r3", 80.); ("r5", 87.) ]
 
 (* Allocation budget: the arena/SoA merge loop allocates a bounded number
-   of minor words per executed ranking probe (~800 on r3 and r5).
+   of minor words per executed ranking probe (~560 on r3 and r5 with
+   the id-buffer k-NN query, ~800 before it).
    Before the slab rewrite the figure sat around 7500 words/probe on r5.
    The budget leaves headroom for honest churn while still catching a
    boxed octagon or closure sneaking back onto the hot path (a 5-6x

@@ -101,8 +101,13 @@ let of_string text =
       let* y = float_of y in
       let* cap = float_of cap in
       let* group = int_of group in
-      st.sinks <- Sink.make ~id ~loc:(Geometry.Pt.make x y) ~cap ~group :: st.sinks;
-      Ok ()
+      (* [Sink.make]'s own checks, as parse errors: it raises. *)
+      if cap < 0. then error lineno "negative capacitance"
+      else if group < 0 then error lineno "negative group"
+      else begin
+        st.sinks <- Sink.make ~id ~loc:(Geometry.Pt.make x y) ~cap ~group :: st.sinks;
+        Ok ()
+      end
     | keyword :: _ ->
       Error (Printf.sprintf "line %d: unrecognized record %S" lineno keyword)
   in

@@ -8,7 +8,6 @@ type config = {
   width_cap : float;
   sdr_samples : int;
   cost_by_planned_wire : bool;
-  avoid_infeasible : bool;
   jobs : int;
 }
 
@@ -23,7 +22,6 @@ let default =
     width_cap = 0.7;
     sdr_samples = 9;
     cost_by_planned_wire = false;
-    avoid_infeasible = true;
     jobs = Par.Pool.default_jobs ();
   }
 
@@ -52,7 +50,6 @@ let json_of_config (c : config) =
       ("width_cap", Obs.Json.Float c.width_cap);
       ("sdr_samples", Obs.Json.Int c.sdr_samples);
       ("cost_by_planned_wire", Obs.Json.Bool c.cost_by_planned_wire);
-      ("avoid_infeasible", Obs.Json.Bool c.avoid_infeasible);
       ("jobs", Obs.Json.Int c.jobs);
     ]
 
@@ -101,40 +98,43 @@ let plan ?(config = default) ?(trace = Obs.Trace.null)
     let d = Geometry.Octagon.diameter (Clocktree.Instance.bbox inst) in
     if d > 0. then 1e9 *. d else 1.
   in
-  (* One ranking probe's cost evaluator.  Shared state is only read
-     here, making the session safe on worker domains; the note is the
-     number of trial merges the probe ran. *)
-  let session () =
-    let n_trials = ref 0 in
-    (* [dist] arrives from the ranking loop's region slab
-       (Octslab.dist, bit-identical to Octagon.dist on these regions). *)
-    let cost ~dist (a : Subtree.t) (b : Subtree.t) =
-      if config.cost_by_planned_wire then begin
-        incr n_trials;
-        let t = run_merge ~id:(-1) a b in
-        (* An infeasible pair (mutually inconsistent shared-group
-           offsets, the thesis' Instance 2) is merged only as a last
-           resort. *)
-        if config.avoid_infeasible && not t.feasible then
-          t.planned_wire +. infeasible_penalty
-        else t.planned_wire
-      end
-      else if config.avoid_infeasible then begin
-        (* Distance-cost ranking needs only feasibility from a trial, and
-           Merge.committed_feasible answers that bit-identically without
-           building the merged subtree — so no probe runs a trial merge. *)
-        if Merge.committed_feasible inst ~slack_usage:config.slack_usage
-             ~dist a b
-        then dist
-        else dist +. infeasible_penalty
-      end
-      else dist
-    in
-    (cost, fun () -> !n_trials)
-  in
-  let absorb n =
-    trial_merges := !trial_merges + n;
-    Obs.Counter.add c_trials n
+  (* How [Order] ranks each probe's candidates.  By default by region
+     distance (Octslab.dist, bit-identical to Octagon.dist on these
+     regions), with an infeasible pair (mutually inconsistent
+     shared-group offsets, the thesis' Instance 2) merged only as a last
+     resort: Merge.committed_feasible answers feasibility bit-identically
+     without building the merged subtree, and [Order] asks it only until
+     the nearest feasible candidate is found.  The planned-wire ablation
+     instead runs a trial merge per candidate; its session's note is the
+     number of trials.  Shared state is only read here, making both safe
+     on worker domains. *)
+  let ranking =
+    if config.cost_by_planned_wire then begin
+      let session () =
+        let n_trials = ref 0 in
+        let cost ~dist:_ (a : Subtree.t) (b : Subtree.t) =
+          incr n_trials;
+          let t = run_merge ~id:(-1) a b in
+          if t.feasible then t.planned_wire
+          else t.planned_wire +. infeasible_penalty
+        in
+        (cost, fun () -> !n_trials)
+      in
+      let absorb n =
+        trial_merges := !trial_merges + n;
+        Obs.Counter.add c_trials n
+      in
+      Order.By_cost { session; absorb }
+    end
+    else
+      Order.By_distance
+        {
+          feasible =
+            (fun ~dist a b ->
+              Merge.committed_feasible inst ~slack_usage:config.slack_usage
+                ~dist a b);
+          penalty = infeasible_penalty;
+        }
   in
   (* Committed-merge execution, split so the ranking loop can run the
      selected merges of a round on worker domains: [compute] ([run_merge])
@@ -241,7 +241,7 @@ let plan ?(config = default) ?(trace = Obs.Trace.null)
   let root, (ostats : Order.stats) =
     let body () =
       Order.run_ranked ?pool ~trace ~sched ?on_round ?leaves inst order_config
-        ~coster:{ Order.session; absorb }
+        ~ranking
         ~merger:{ Order.compute = run_merge; install }
     in
     if tracing then

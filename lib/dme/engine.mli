@@ -29,11 +29,10 @@ type config = {
       (** rank merge candidates by planned wire (including snaking)
           instead of region distance; an ablation knob — distance wins
           in practice because deferring balancing cost lets group
-          offsets drift *)
-  avoid_infeasible : bool;
-      (** heavily penalize candidate pairs whose trial merge has
-          mutually inconsistent shared-group constraints (Instance 2
-          conflicts), merging them only as a last resort *)
+          offsets drift.  Either way a pair with mutually inconsistent
+          shared-group constraints (an Instance 2 conflict) ranks behind
+          every consistent one and merges only as a last resort (see
+          {!Order.ranking}) *)
   jobs : int;
       (** domains used for the per-round candidate ranking (nearest
           neighbour probes and their trial merges); 1 = fully serial.

@@ -204,9 +204,11 @@ let merge_cross (inst : Clocktree.Instance.t) ~split_slack ~width_cap
   { subtree; kind = Cross_group; planned_wire = dist; snake = 0.; feasible = true }
 
 (* Would [run] report this pair feasible?  Answered without building the
-   merged subtree, region or delay map — the ranking loop asks this for
-   every probed candidate pair, and under distance-cost ranking it is the
-   trial merge's only cost-relevant output.
+   merged subtree, region or delay map.  Under distance-cost ranking it
+   is the trial merge's only cost-relevant output; the ranking loop asks
+   it of a probe's candidates nearest first and stops at the first
+   feasible one (Order's first-feasible rule), so a probe usually asks
+   once.
 
    Why this is exact, case by case against [merge_committed]:
    - [Rc.Balance.plan] computes [feasible] from the constraint list

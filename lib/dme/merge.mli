@@ -47,9 +47,11 @@ val run :
     without building the merged subtree — no region intersection, no
     delay-map union, no allocation beyond a few boxed floats.  [dist]
     must be [Octagon.dist a.region b.region].  This is the trial merge's
-    only cost-relevant output when ranking by region distance with
-    [avoid_infeasible], so the ranking loop can skip trial merges
-    entirely (see {!Engine}). *)
+    only cost-relevant output when ranking by region distance, so the
+    ranking loop runs no trial merges.  It is the feasibility predicate
+    of the engine's default {!Order.By_distance} ranking, which asks it
+    for a probe's candidates in ascending (distance, id) order only
+    until one is feasible — usually the first. *)
 val committed_feasible :
   Clocktree.Instance.t ->
   slack_usage:float ->

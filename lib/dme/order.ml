@@ -30,6 +30,13 @@ type 'merge merger = {
   install : 'merge -> Subtree.t;
 }
 
+type 'note ranking =
+  | By_distance of {
+      feasible : dist:float -> Subtree.t -> Subtree.t -> bool;
+      penalty : float;
+    }
+  | By_cost of 'note coster
+
 let of_cost cost =
   {
     session = (fun () -> ((fun ~dist:_ a b -> cost a b), fun () -> ()));
@@ -59,6 +66,43 @@ let _c_saved = Obs.Counter.make "dme.order.nn_probes_saved"
 let c_pairs = Obs.Counter.make "dme.order.pairs_ranked"
 let c_rounds = Obs.Counter.make "dme.order.rounds"
 
+(* Per-domain probe scratch: one k-NN query's candidate ids and their
+   region distances.  Safe because a probe never re-enters another probe
+   on the same domain. *)
+type probe_scratch = { mutable ids : int array; mutable dist : floatarray }
+
+let probe_key =
+  Domain.DLS.new_key (fun () -> { ids = [||]; dist = Float.Array.create 0 })
+
+(* Whether the first [n] candidate distances are all >= 0 (so none is
+   NaN): the precondition of the first-feasible rule. *)
+let all_nonneg sc n =
+  let ok = ref true in
+  for k = 0 to n - 1 do
+    if not (Float.Array.get sc.dist k >= 0.) then ok := false
+  done;
+  !ok
+
+(* The index of the least (distance, id) among the first [n] candidates
+   above index [prev]'s (all of them when [prev] is -1), or -1.  Repeated
+   selection: one pass per visited candidate, and probes rarely visit a
+   second. *)
+let next_candidate sc n prev =
+  let ids = sc.ids and dist = sc.dist in
+  let m = ref (-1) in
+  for k = 0 to n - 1 do
+    let d = Float.Array.get dist k and id = ids.(k) in
+    if
+      (prev < 0
+      || d > Float.Array.get dist prev
+      || (d = Float.Array.get dist prev && id > ids.(prev)))
+      && (!m < 0
+         || d < Float.Array.get dist !m
+         || (d = Float.Array.get dist !m && id < ids.(!m)))
+    then m := k
+  done;
+  !m
+
 (* The same unordered pair can be proposed by both endpoints with
    slightly different costs (trial orientation asymmetry); keep only
    the cheapest proposal per pair.  Input: sorted by (i, j, cost).
@@ -76,7 +120,7 @@ let dedupe_pairs pairs =
 
 let run_ranked ?pool ?(trace = Obs.Trace.null) ?(sched = Obs.Sched.null)
     ?on_round ?leaves (inst : Clocktree.Instance.t) config
-    ~(coster : 'note coster) ~(merger : 'merge merger) =
+    ~(ranking : 'note ranking) ~(merger : 'merge merger) =
   (* The initial population: the instance's sink leaves by default, or an
      explicit subtree array (the clustered router's region roots).  The
      arena is indexed by subtree id, so explicit leaves must carry dense
@@ -169,35 +213,82 @@ let run_ranked ?pool ?(trace = Obs.Trace.null) ?(sched = Obs.Sched.null)
     incr next_id;
     id
   in
-  (* Cheapest merge partner of [s] among the grid candidates (grid
-     ranking is by representative point, so probe several candidates and
-     refine with the true merging cost).  Runs on worker domains during
-     a parallel round: the arena, [grid] and [slab] are only read, and
-     the (cost, lowest-id) argmin makes the winner independent of
-     candidate evaluation order. *)
-  let nearest_neighbor ~cost (s : Subtree.t) =
+  let subtree id =
+    match node.(id) with Some t -> t | None -> assert false
+  in
+  (* Writes the grid candidates of [s] into the domain's scratch [sc],
+     nearest center first, their region distances beside them, and
+     returns the candidate count.  Runs on worker domains during a
+     parallel round: the arena, [grid] and [slab] are only read. *)
+  let candidates sc (s : Subtree.t) =
     Obs.Counter.incr c_probes;
+    if Array.length sc.ids < knn then begin
+      sc.ids <- Array.make knn 0;
+      sc.dist <- Float.Array.make knn 0.
+    end;
     let c = center_of s.id in
     let skip id = id = s.id in
-    let candidates =
-      match Grid_index.k_nearest grid ~skip c knn with
-      | [] ->
+    let n =
+      match Grid_index.k_nearest grid ~skip c knn sc.ids with
+      | 0 -> (
         (* Endgame guard: with two or more active subtrees a probe must
            yield a partner.  The k-NN query can only come back empty for
            degenerate indices; fall back to the exhaustive nearest scan
            so the 2-subtree endgame can never report "no partner". *)
-        Option.to_list (Grid_index.nearest grid ~skip c)
-      | cs -> cs
+        match Grid_index.nearest grid ~skip c with
+        | Some (id, _, _) ->
+          sc.ids.(0) <- id;
+          1
+        | None -> 0)
+      | n -> n
     in
-    List.fold_left
-      (fun best (_, _, (t : Subtree.t)) ->
-        let d = cost ~dist:(Octslab.dist slab s.id t.id) s t in
-        match best with
-        | Some ((bt : Subtree.t), bd) when bd < d || (bd = d && bt.id < t.id)
-          ->
-          best
-        | _ -> Some (t, d))
-      None candidates
+    for k = 0 to n - 1 do
+      Float.Array.set sc.dist k (Octslab.dist slab s.id sc.ids.(k))
+    done;
+    n
+  in
+  (* Cheapest merge partner of [s] among its [n] candidates under [cost]
+     (grid ranking is by representative point, so probe several
+     candidates and refine with the true merging cost).  The (cost,
+     lowest-id) argmin makes the winner independent of candidate
+     evaluation order. *)
+  let fold ~cost (s : Subtree.t) sc n =
+    let best = ref None in
+    for k = 0 to n - 1 do
+      let t = subtree sc.ids.(k) in
+      let d = cost ~dist:(Float.Array.get sc.dist k) s t in
+      match !best with
+      | Some ((bt : Subtree.t), bd) when bd < d || (bd = d && bt.id < t.id) -> ()
+      | _ -> best := Some (t, d)
+    done;
+    !best
+  in
+  (* Distance mode's first-feasible rule: the index of the winning
+     candidate of [s], or -1 when [fold] over [dist] / [dist + penalty]
+     must decide.  [fold] picks the least (cost, id).  Visit the
+     candidates in ascending (distance, id) order and stop at the first
+     feasible one, k*: when [dist k* < penalty] it is that argmin, at
+     cost [dist k*].  Distances are >= 0 and rounding is monotone, so
+     every infeasible candidate costs [fl (dist + penalty) >= penalty >
+     dist k*], and every other feasible one has a larger (distance, id).
+     The nearest candidate is feasible in practice, so a probe runs one
+     feasibility test instead of one per candidate.  A NaN or negative
+     distance (the argument needs >= 0, and NaN makes [fold]'s answer
+     depend on candidate order), no feasible candidate or a failed
+     guard leaves the answer to [fold]. *)
+  let first_feasible ~feasible ~penalty (s : Subtree.t) sc n =
+    let k = ref (if all_nonneg sc n then next_candidate sc n (-1) else -1) in
+    let found = ref (-1) in
+    while !k >= 0 do
+      let d = Float.Array.get sc.dist !k in
+      if not (d < penalty) then k := -1
+      else if feasible ~dist:d s (subtree sc.ids.(!k)) then begin
+        found := !k;
+        k := -1
+      end
+      else k := next_candidate sc n !k
+    done;
+    !found
   in
   (* Deep subtrees have small delay targets; merging shallow pairs first
      (Chaturvedi-Hu) keeps depths homogeneous and avoids late merges that
@@ -214,9 +305,11 @@ let run_ranked ?pool ?(trace = Obs.Trace.null) ?(sched = Obs.Sched.null)
     in
     d +. depth_bias
   in
-  (* One probe = one coster session: the returned note carries whatever
-     side results (e.g. freshly run trial merges) the cost function
-     produced, to be absorbed on the main domain in snapshot order. *)
+  (* One probe: the partner of [s] at its cost and, in cost mode, the
+     note of the probe's coster session, carrying whatever side results
+     (e.g. freshly run trial merges) the cost function produced, to be
+     absorbed on the main domain in snapshot order.  Distance mode has no
+     note. *)
   let probe (s : Subtree.t) =
     (* Runs on worker domains during parallel rounds: the instant lands
        in the emitting domain's own trace buffer. *)
@@ -224,9 +317,21 @@ let run_ranked ?pool ?(trace = Obs.Trace.null) ?(sched = Obs.Sched.null)
       Obs.Trace.instant trace ~cat:"dme.order"
         ~args:[ ("subtree", Obs.Json.Int s.id) ]
         "probe";
-    let cost, finish = coster.session () in
-    let best = nearest_neighbor ~cost s in
-    (best, finish ())
+    let sc = Domain.DLS.get probe_key in
+    let n = candidates sc s in
+    match ranking with
+    | By_cost coster ->
+      let cost, finish = coster.session () in
+      let best = fold ~cost s sc n in
+      (best, Some (finish ()))
+    | By_distance { feasible; penalty } -> (
+      match first_feasible ~feasible ~penalty s sc n with
+      | -1 ->
+        let cost ~dist a b =
+          if feasible ~dist a b then dist else dist +. penalty
+        in
+        (fold ~cost s sc n, None)
+      | k -> (Some (subtree sc.ids.(k), Float.Array.get sc.dist k), None))
   in
   (* Alive subtrees in ascending-id order: the id-indexed arena walk
      needs no sort. *)
@@ -282,7 +387,9 @@ let run_ranked ?pool ?(trace = Obs.Trace.null) ?(sched = Obs.Sched.null)
         Array.iteri
           (fun k (s : Subtree.t) ->
             let best, note = probes.(k) in
-            coster.absorb note;
+            (match (ranking, note) with
+             | By_cost coster, Some note -> coster.absorb note
+             | _ -> ());
             match best with
             | None -> ()
             | Some ((t : Subtree.t), d) ->
@@ -419,4 +526,5 @@ let run_ranked ?pool ?(trace = Obs.Trace.null) ?(sched = Obs.Sched.null)
   (root, { rounds = !rounds; nn_probes = !probed })
 
 let run inst config ~cost ~merge =
-  run_ranked inst config ~coster:(of_cost cost) ~merger:(of_merge merge)
+  run_ranked inst config ~ranking:(By_cost (of_cost cost))
+    ~merger:(of_merge merge)

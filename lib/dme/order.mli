@@ -28,19 +28,43 @@ type config = {
 
 val default : config
 
-(** How ranking evaluates merge costs.  [session] is called once per
+(** Cost-mode merge costs.  [session] is called once per
     nearest-neighbour probe — on a worker domain during parallel rounds —
     and returns the cost function for that probe plus a finisher whose
     ['note] carries any side results the probe produced (for the DME
-    engine: the number of trial merges it ran).  The cost function must
-    not mutate shared state; [absorb] is called for every probe's note on
-    the calling domain, in ascending subtree-id order, before any merge
-    of the round is committed. *)
+    engine: the number of trial merges it ran).  The cost function sees
+    the pair's region distance as [~dist], the probed subtree and the
+    candidate; it must not mutate shared state.  [absorb] is called for
+    every probe's note on the calling domain, in ascending subtree-id
+    order, before any merge of the round is committed. *)
 type 'note coster = {
   session :
     unit -> (dist:float -> Subtree.t -> Subtree.t -> float) * (unit -> 'note);
   absorb : 'note -> unit;
 }
+
+(** How ranking picks each probe's partner among its [knn] grid
+    candidates: the least (cost, id), for one of two costs.
+
+    - [By_distance { feasible; penalty }] (the engine's default): a
+      candidate costs its region distance, plus [penalty] when
+      [feasible ~dist s t] is false for the probed subtree [s].  The
+      probe visits the candidates in ascending (distance, id) order and
+      stops at the first feasible one, so it usually runs one
+      feasibility test; it scores all candidates only when a distance
+      is NaN or negative, none is feasible or the winner's distance is
+      not below [penalty].  The answer is exactly that of the full
+      scoring.  [feasible] runs on worker domains during parallel
+      rounds and must be pure; [penalty] should exceed every honest
+      distance.
+    - [By_cost coster]: every candidate is scored by the coster's
+      session (the planned-wire ablation and {!run}). *)
+type 'note ranking =
+  | By_distance of {
+      feasible : dist:float -> Subtree.t -> Subtree.t -> bool;
+      penalty : float;
+    }
+  | By_cost of 'note coster
 
 (** How selected merges are executed.  [compute ~id a b] builds the
     merge result; it may run on a worker domain during parallel rounds,
@@ -66,8 +90,8 @@ val of_merge :
   (id:int -> Subtree.t -> Subtree.t -> Subtree.t) -> (int * Subtree.t * Subtree.t) merger
 
 (** Ranking-loop statistics.  [nn_probes] counts executed
-    nearest-neighbour probes (each runs one coster session over up to
-    [knn] candidates): one per active subtree per round. *)
+    nearest-neighbour probes (each ranks up to [knn] candidates): one
+    per active subtree per round. *)
 type stats = { rounds : int; nn_probes : int }
 
 (** One completed merge round, as reported to the [?on_round] observer
@@ -92,10 +116,10 @@ type round_info = {
 val dedupe_pairs : (float * int * int) list -> (float * int * int) list
 
 (** [run_ranked ?pool ?trace ?sched ?on_round ?leaves inst config
-    ~coster ~merger]
-    reduces the sink set to one subtree, running [merger.compute] for
-    every selected pair and [merger.install] on the calling domain in
-    selection order.  With [pool], candidate probing and the selected
+    ~ranking ~merger]
+    reduces the sink set to one subtree, ranking candidates as
+    [ranking] says, running [merger.compute] for every selected pair
+    and [merger.install] on the calling domain in selection order.  With [pool], candidate probing and the selected
     merges' computations run on the pool's domains; results are
     deterministic and identical to the serial run.  With [trace]
     enabled, each round emits a span (with probe/commit phase sub-spans
@@ -121,12 +145,12 @@ val run_ranked :
   ?leaves:Subtree.t array ->
   Clocktree.Instance.t ->
   config ->
-  coster:'note coster ->
+  ranking:'note ranking ->
   merger:'merge merger ->
   Subtree.t * stats
 
 (** [run inst config ~cost ~merge] is {!run_ranked} without a pool over
-    {!of_cost}[ cost]: the serial interface used by tests and simple
+    [By_cost (]{!of_cost}[ cost)]: the serial interface used by tests and simple
     callers.  [cost a b] ranks candidate pairs — typically the planned
     wire of a trial merge, so partners that merge without snaking (e.g.
     cross-group neighbours) are preferred over equally close partners

@@ -157,6 +157,16 @@ let remove t ~id p =
 
 let size t = t.count
 
+(* One cell's entries, in insertion order, to [f]; returns how many.
+   Cells past the occupied extremes hold nothing. *)
+let visit t f gx gy =
+  if gx < t.xlo || gx > t.xhi || gy < t.ylo || gy > t.yhi then 0
+  else begin
+    let b = bucket_at t gx gy in
+    for i = 0 to b.blen - 1 do f b.ids.(i) b.ents.(i) done;
+    b.blen
+  end
+
 (* Visit cells in expanding square rings around the query cell.  A hit at
    ring [r] guarantees no closer hit exists beyond ring
    [ceil (best / cell) + 1], which bounds the scan; the occupied extremes
@@ -170,26 +180,18 @@ let iter_rings t (p : Pt.t) ~stop f =
     Int.max (Int.max (cx - t.xlo) (t.xhi - cx))
       (Int.max (cy - t.ylo) (t.yhi - cy))
   in
-  let visit gx gy =
-    if gx < t.xlo || gx > t.xhi || gy < t.ylo || gy > t.yhi then 0
-    else begin
-      let b = bucket_at t gx gy in
-      for i = 0 to b.blen - 1 do f b.ids.(i) b.ents.(i) done;
-      b.blen
-    end
-  in
   let r = ref 0 and ents = ref 0 in
   while !r <= max_ring && not (stop !r) do
     let r' = !r in
-    if r' = 0 then ents := visit cx cy
+    if r' = 0 then ents := visit t f cx cy
     else begin
       for gx = Int.max (cx - r') t.xlo to Int.min (cx + r') t.xhi do
-        let top = visit gx (cy - r') in
-        ents := !ents + top + visit gx (cy + r')
+        let top = visit t f gx (cy - r') in
+        ents := !ents + top + visit t f gx (cy + r')
       done;
       for gy = Int.max (cy - r' + 1) t.ylo to Int.min (cy + r' - 1) t.yhi do
-        let lft = visit (cx - r') gy in
-        ents := !ents + lft + visit (cx + r') gy
+        let lft = visit t f (cx - r') gy in
+        ents := !ents + lft + visit t f (cx + r') gy
       done
     end;
     incr r
@@ -231,132 +233,114 @@ let nearest t ?(skip = fun _ -> false) p =
     | Some v -> Some (!best_id, !best_pt, v)
   end
 
-(* Per-domain heap scratch for [k_nearest].  The entry array stays
-   per-call (it is polymorphic in the index's value type); the numeric
-   arrays are monomorphic and reused across queries.  Safe because the
-   scan's callbacks ([skip]) never re-enter the query path. *)
-type knn_scratch = {
-  mutable khd : float array;
-  mutable khs : int array;
-  mutable khid : int array;
+(* Per-domain heap scratch for [k_nearest]: a binary max-heap of the k
+   best candidates seen so far, ordered by (distance, arrival), in
+   parallel monomorphic arrays (distance / arrival / id).  Its root is
+   the running k-th distance, which drives the ring-scan stop condition.
+   The heap operations are top-level functions over this record, so a
+   query builds no per-query heap closures and scanning an entry
+   allocates nothing.  Safe because the scan's callbacks ([skip]) never
+   re-enter the query path. *)
+type heap = {
+  mutable hd : float array;
+  mutable hs : int array;
+  mutable hid : int array;
+  mutable size : int;
+  mutable arrival : int;
 }
 
-let knn_scratch_key =
-  Domain.DLS.new_key (fun () -> { khd = [||]; khs = [||]; khid = [||] })
+let heap_key =
+  Domain.DLS.new_key (fun () ->
+      { hd = [||]; hs = [||]; hid = [||]; size = 0; arrival = 0 })
 
-let k_nearest t ?(skip = fun _ -> false) p k =
+(* Slot [i] ranks strictly after slot [j]: farther, or as far and
+   visited earlier (distance ties prefer the later-visited entry). *)
+let[@inline] after h i j =
+  h.hd.(i) > h.hd.(j) || (h.hd.(i) = h.hd.(j) && h.hs.(i) < h.hs.(j))
+
+let swap h i j =
+  let d = h.hd.(i) and s = h.hs.(i) and id = h.hid.(i) in
+  h.hd.(i) <- h.hd.(j);
+  h.hs.(i) <- h.hs.(j);
+  h.hid.(i) <- h.hid.(j);
+  h.hd.(j) <- d;
+  h.hs.(j) <- s;
+  h.hid.(j) <- id
+
+let rec sift_up h i =
+  if i > 0 then begin
+    let parent = (i - 1) / 2 in
+    if after h i parent then begin
+      swap h i parent;
+      sift_up h parent
+    end
+  end
+
+let rec sift_down h i =
+  let l = (2 * i) + 1 and r = (2 * i) + 2 in
+  let m = if l < h.size && after h l i then l else i in
+  let m = if r < h.size && after h r m then r else m in
+  if m <> i then begin
+    swap h i m;
+    sift_down h m
+  end
+
+let k_nearest t ?(skip = fun _ -> false) p k ids =
+  if Array.length ids < k then
+    invalid_arg "Grid_index.k_nearest: buffer shorter than k";
   Obs.Counter.incr c_queries;
-  if t.count = 0 || k <= 0 then []
+  if t.count = 0 || k <= 0 then 0
   else begin
-    (* Bounded selection: a binary max-heap keeps the k best candidates
-       seen so far, ordered by (distance, arrival); its root is the
-       running k-th distance, which drives the ring-scan stop condition.
-       Distance ties prefer the later-visited entry.  The heap lives in
-       parallel scratch arrays (distance / arrival / id / entry), so
-       scanning an entry allocates nothing. *)
     let cap = Int.min k t.count in
-    let sc = Domain.DLS.get knn_scratch_key in
-    if Array.length sc.khd < cap then begin
-      sc.khd <- Array.make cap 0.;
-      sc.khs <- Array.make cap 0;
-      sc.khid <- Array.make cap 0
+    let h = Domain.DLS.get heap_key in
+    if Array.length h.hd < cap then begin
+      h.hd <- Array.make cap 0.;
+      h.hs <- Array.make cap 0;
+      h.hid <- Array.make cap 0
     end;
-    let hd = sc.khd in
-    let hs = sc.khs in
-    let hid = sc.khid in
-    (* Seeded with the first accepted entry; never read before. *)
-    let hent = ref [||] in
-    let size = ref 0 in
-    let arrival = ref 0 in
-    (* The heap order — "candidate 1 ranks strictly after candidate 2"
-       iff [d1 > d2 || (d1 = d2 && s1 < s2)] — is written out at every
-       comparison site: a shared helper would box two floats per call. *)
-    let swap i j =
-      let he = !hent in
-      let d = hd.(i) and s = hs.(i) and id = hid.(i) and e = he.(i) in
-      hd.(i) <- hd.(j);
-      hs.(i) <- hs.(j);
-      hid.(i) <- hid.(j);
-      he.(i) <- he.(j);
-      hd.(j) <- d;
-      hs.(j) <- s;
-      hid.(j) <- id;
-      he.(j) <- e
-    in
-    let rec sift_up i =
-      if i > 0 then begin
-        let parent = (i - 1) / 2 in
-        if
-          hd.(i) > hd.(parent)
-          || (hd.(i) = hd.(parent) && hs.(i) < hs.(parent))
-        then begin
-          swap i parent;
-          sift_up parent
+    h.size <- 0;
+    h.arrival <- 0;
+    (* The L1 distance is written out because a [Pt.dist] call is not
+       inlined in -opaque (dev-profile) builds and would box its result
+       for every scanned entry. *)
+    let offer id e =
+      if not (skip id) then begin
+        let s = h.arrival in
+        h.arrival <- s + 1;
+        let q = e.pt in
+        let d = Float.abs (p.Pt.x -. q.Pt.x) +. Float.abs (p.Pt.y -. q.Pt.y) in
+        if h.size < cap then begin
+          let i = h.size in
+          h.hd.(i) <- d;
+          h.hs.(i) <- s;
+          h.hid.(i) <- id;
+          h.size <- i + 1;
+          sift_up h i
+        end
+        else if h.hd.(0) > d || (h.hd.(0) = d && h.hs.(0) < s) then begin
+          h.hd.(0) <- d;
+          h.hs.(0) <- s;
+          h.hid.(0) <- id;
+          sift_down h 0
         end
       end
     in
-    let rec sift_down i =
-      let l = (2 * i) + 1 and r = (2 * i) + 2 in
-      let m =
-        if l < !size && (hd.(l) > hd.(i) || (hd.(l) = hd.(i) && hs.(l) < hs.(i)))
-        then l
-        else i
-      in
-      let m =
-        if r < !size && (hd.(r) > hd.(m) || (hd.(r) = hd.(m) && hs.(r) < hs.(m)))
-        then r
-        else m
-      in
-      if m <> i then begin
-        swap i m;
-        sift_down m
-      end
-    in
-    (* Distance is computed inside the offer so it never crosses a
-       closure boundary boxed; the L1 distance is written out because a
-       [Pt.dist] call is not inlined in -opaque (dev-profile) builds and
-       would box its result for every scanned entry. *)
-    let offer id e =
-      let s = !arrival in
-      incr arrival;
-      let q = e.pt in
-      let d = Float.abs (p.Pt.x -. q.Pt.x) +. Float.abs (p.Pt.y -. q.Pt.y) in
-      if !size < cap then begin
-        if Array.length !hent = 0 then hent := Array.make cap e;
-        let i = !size in
-        hd.(i) <- d;
-        hs.(i) <- s;
-        hid.(i) <- id;
-        (!hent).(i) <- e;
-        incr size;
-        sift_up i
-      end
-      else if hd.(0) > d || (hd.(0) = d && hs.(0) < s) then begin
-        hd.(0) <- d;
-        hs.(0) <- s;
-        hid.(0) <- id;
-        (!hent).(0) <- e;
-        sift_down 0
-      end
-    in
-    let stop r = !size = k && float_of_int (r - 1) *. t.cell > hd.(0) in
-    iter_rings t p ~stop (fun id e -> if not (skip id) then offer id e);
-    (* Pop the heap worst-first, prepending: (distance, arrival) keys are
-       unique, so this yields the ascending-distance,
-       later-arrival-on-ties list with no intermediate list or sort. *)
-    let entries = ref [] in
-    while !size > 0 do
-      let he = !hent in
-      entries := (hid.(0), he.(0).pt, he.(0).value) :: !entries;
-      decr size;
-      let last = !size in
+    let stop r = h.size = k && float_of_int (r - 1) *. t.cell > h.hd.(0) in
+    iter_rings t p ~stop offer;
+    (* Pop the heap worst-first into the buffer's tail: (distance,
+       arrival) keys are unique, so this leaves the ids in ascending
+       distance, later arrival first on ties, with no sort. *)
+    let n = h.size in
+    while h.size > 0 do
+      let last = h.size - 1 in
+      ids.(last) <- h.hid.(0);
+      h.size <- last;
       if last > 0 then begin
-        hd.(0) <- hd.(last);
-        hs.(0) <- hs.(last);
-        hid.(0) <- hid.(last);
-        he.(0) <- he.(last);
-        sift_down 0
+        h.hd.(0) <- h.hd.(last);
+        h.hs.(0) <- h.hs.(last);
+        h.hid.(0) <- h.hid.(last);
+        sift_down h 0
       end
     done;
-    !entries
+    n
   end

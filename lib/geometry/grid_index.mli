@@ -30,7 +30,15 @@ val size : 'a t -> int
     entry exists. *)
 val nearest : 'a t -> ?skip:(int -> bool) -> Pt.t -> (int * Pt.t * 'a) option
 
-(** [k_nearest t ?skip p k] is up to [k] eligible entries ordered by
-    increasing L1 point distance. *)
+(** [k_nearest t ?skip p k ids] writes the ids of up to [k] eligible
+    entries into [ids.(0)], [ids.(1)], ..., nearest first, and returns
+    how many it wrote ([min k] eligible entries).  Order is by
+    increasing L1 point distance; equally distant entries come in
+    reverse visit order (ring by ring, each cell's entries in insertion
+    order), the later-visited first.  The caller owns [ids] and can
+    reuse it across queries: a query allocates nothing per scanned
+    entry and builds no result list.  Read values or points from the
+    caller's own id-indexed tables.  Raises [Invalid_argument] when
+    [Array.length ids < k]. *)
 val k_nearest :
-  'a t -> ?skip:(int -> bool) -> Pt.t -> int -> (int * Pt.t * 'a) list
+  'a t -> ?skip:(int -> bool) -> Pt.t -> int -> int array -> int

@@ -538,7 +538,18 @@ let test_io_errors () =
    | Error msg ->
      Alcotest.(check bool) "missing source reported" true
        (String.length msg > 0)
-   | Ok _ -> Alcotest.fail "expected missing-source error")
+   | Ok _ -> Alcotest.fail "expected missing-source error");
+  (* Sink.make refuses these by raising; the parser must report them as
+     line errors instead. *)
+  List.iter
+    (fun (record, expected) ->
+      match Io.of_string ("groups 2\nsource 0 0\n" ^ record) with
+      | Error msg -> Alcotest.(check string) record expected msg
+      | Ok _ -> Alcotest.fail ("expected an error for " ^ record))
+    [
+      ("sink 5 1 2 36.56 -1", "line 3: negative group");
+      ("sink 5 1 2 -36.5 6", "line 3: negative capacitance");
+    ]
 
 let test_io_comments_and_order () =
   let text =

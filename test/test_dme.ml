@@ -242,6 +242,87 @@ let test_order_knn_zero_clamped () =
   let root, _ = Dme.Order.run inst config ~cost ~merge:merge_cb in
   Alcotest.(check int) "all sinks merged" 12 root.n_sinks
 
+(* Distance-mode ranking stops at a probe's first feasible candidate in
+   ascending (distance, id) order; cost mode scores every candidate with
+   [dist + (if feasible then 0 else P)] and takes the least (cost, id).
+   The two must pick the same partner at the same cost for every probe,
+   hence build the same tree round by round, at jobs 1 and 2.  The
+   feasibility predicate is a pseudo-random function of the pair: all,
+   most or none of the pairs feasible.  The penalties cover the engine's
+   huge one, one below most candidate distances (the guard falls back
+   to scoring every candidate) and one that splits them.  The lattice
+   instance ties many distances, so a partner choice that ignored the
+   id tie-break would differ. *)
+let test_order_first_feasible_exact () =
+  let random_instance =
+    let rng = Workload.Rng.create 7L in
+    instance ~bound:10. ~n_groups:3
+      (List.init 120 (fun i ->
+           sink i
+             (Workload.Rng.float_range rng 0. 3000.)
+             (Workload.Rng.float_range rng 0. 3000.)
+             (i mod 3)))
+  in
+  let lattice_instance =
+    instance ~bound:10. ~n_groups:3
+      (List.init 144 (fun i ->
+           sink i
+             (100. *. float_of_int (i mod 12))
+             (100. *. float_of_int (i / 12))
+             (i * 7 mod 3)))
+  in
+  let run ?pool inst ranking =
+    let merger = Dme.Order.of_merge (fun ~id a b -> (merge inst ~id a b).subtree) in
+    let rounds = ref [] in
+    let on_round (r : Dme.Order.round_info) =
+      rounds := (r.round, r.active, r.probes, r.merges, r.best_cost) :: !rounds
+    in
+    let root, stats =
+      Dme.Order.run_ranked ?pool ~on_round inst Dme.Order.default ~ranking
+        ~merger
+    in
+    (Marshal.to_string root [], stats, List.rev !rounds)
+  in
+  let tests = Atomic.make 0 in
+  List.iter
+    (fun (iname, inst) ->
+      List.iter
+        (fun pct ->
+          let feasible ~dist:_ (a : Dme.Subtree.t) (b : Dme.Subtree.t) =
+            Atomic.incr tests;
+            Hashtbl.hash (a.id, b.id, 17) mod 100 < pct
+          in
+          List.iter
+            (fun penalty ->
+              let name = Printf.sprintf "%s, %d%% feasible, P=%g" iname pct penalty in
+              let by_distance = Dme.Order.By_distance { feasible; penalty } in
+              let by_cost =
+                Dme.Order.By_cost
+                  {
+                    session =
+                      (fun () ->
+                        ( (fun ~dist a b ->
+                            if feasible ~dist a b then dist else dist +. penalty),
+                          fun () -> () ));
+                    absorb = ignore;
+                  }
+              in
+              let expected = run inst by_cost in
+              Atomic.set tests 0;
+              let ((_, stats, _) as serial) = run inst by_distance in
+              if pct = 100 && penalty > 1e6 then
+                Alcotest.(check int) (name ^ ": one test per probe")
+                  stats.nn_probes (Atomic.get tests);
+              Alcotest.(check bool) (name ^ ": jobs 1") true (serial = expected);
+              Par.Pool.with_pool ~jobs:2 (fun pool ->
+                  Alcotest.(check bool) (name ^ ": jobs 2, distance") true
+                    (run ?pool inst by_distance = expected);
+                  Alcotest.(check bool) (name ^ ": jobs 2, cost") true
+                    (run ?pool inst by_cost = expected)))
+            [ 1e13; 1.; 150. ])
+        [ 100; 60; 0 ])
+    [ ("random", random_instance); ("lattice", lattice_instance) ]
+
 (* --- Embed --------------------------------------------------------------- *)
 
 let rec check_positions_consistent = function
@@ -470,6 +551,8 @@ let () =
           Alcotest.test_case "three-sink endgame" `Quick
             test_order_three_sink_endgame;
           Alcotest.test_case "knn=0 clamped" `Quick test_order_knn_zero_clamped;
+          Alcotest.test_case "first feasible equals full scoring" `Quick
+            test_order_first_feasible_exact;
           Alcotest.test_case "dedupe pairs" `Quick test_dedupe_pairs;
           Alcotest.test_case "dedupe pairs large (stack safety)" `Quick
             test_dedupe_pairs_large;

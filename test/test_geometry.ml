@@ -393,6 +393,15 @@ let prop_translate_preserves_dist =
 
 (* --- Grid index ---------------------------------------------------------- *)
 
+(* [Grid_index.k_nearest]'s answer as a list, through a fresh buffer two
+   slots longer than [k] whose tail must come back untouched. *)
+let knn_ids g ?skip p k =
+  let buf = Array.make (Int.max 0 k + 2) (-7) in
+  let n = Grid_index.k_nearest g ?skip p k buf in
+  if Array.exists (( <> ) (-7)) (Array.sub buf n (Array.length buf - n)) then
+    failwith "k_nearest wrote past its count";
+  Array.to_list (Array.sub buf 0 n)
+
 let test_grid_basic () =
   let g = Grid_index.create ~cell:10. () in
   Grid_index.add g ~id:1 (pt 0. 0.) "a";
@@ -409,9 +418,11 @@ let test_grid_basic () =
    | None -> Alcotest.fail "expected a hit");
   Grid_index.remove g ~id:3 (pt 3. 4.);
   Alcotest.(check int) "size after remove" 2 (Grid_index.size g);
-  let near2 = Grid_index.k_nearest g (pt 1. 1.) 2 in
   Alcotest.(check (list int)) "k_nearest order" [ 1; 2 ]
-    (List.map (fun (id, _, _) -> id) near2)
+    (knn_ids g (pt 1. 1.) 2);
+  Alcotest.check_raises "short buffer"
+    (Invalid_argument "Grid_index.k_nearest: buffer shorter than k")
+    (fun () -> ignore (Grid_index.k_nearest g (pt 1. 1.) 2 (Array.make 1 0)))
 
 let prop_grid_matches_linear_scan =
   let gen =
@@ -467,7 +478,8 @@ let prop_grid_k_nearest_matches_brute_force =
       let skip = if with_skip then fun id -> id mod 3 = 0 else fun _ -> false in
       let g = Grid_index.create ~cell () in
       List.iteri (fun i p -> Grid_index.add g ~id:i p i) pts;
-      let got = Grid_index.k_nearest g ~skip q k in
+      let got = knn_ids g ~skip q k in
+      let pt_of = Array.of_list pts in
       let brute =
         List.filteri (fun i _ -> not (skip i)) pts
         |> List.map (Pt.dist q)
@@ -476,13 +488,12 @@ let prop_grid_k_nearest_matches_brute_force =
       let expect_n = Int.min k (List.length brute) in
       List.length got = expect_n
       && List.for_all2
-           (fun (_, p, _) d -> Float.abs (Pt.dist q p -. d) <= 1e-9)
+           (fun id d -> Float.abs (Pt.dist q pt_of.(id) -. d) <= 1e-9)
            got
            (List.filteri (fun i _ -> i < expect_n) brute)
       (* returned entries are distinct and not skipped *)
-      && List.length (List.sort_uniq compare (List.map (fun (id, _, _) -> id) got))
-         = expect_n
-      && List.for_all (fun (id, _, _) -> not (skip id)) got)
+      && List.length (List.sort_uniq compare got) = expect_n
+      && List.for_all (fun id -> not (skip id)) got)
 
 (* Churn property: a random interleaving of adds, removes and queries
    must agree with a brute-force mirror at every step — the index may
@@ -552,25 +563,28 @@ let prop_grid_churn =
              | _ -> check false)
           | _ ->
             let k = 1 + (x mod 8) in
-            let got = Grid_index.k_nearest g p k in
+            let got = knn_ids g p k in
             let b = brute p in
             let expect_n = Int.min k (List.length b) in
             check (List.length got = expect_n);
             List.iteri
-              (fun i (_, q, _) ->
-                match List.nth_opt b i with
-                | Some (_, d) -> check (Float.abs (Pt.dist p q -. d) <= 1e-9)
-                | None -> check false)
+              (fun i id ->
+                match (List.nth_opt b i, Hashtbl.find_opt mirror id) with
+                | Some (_, d), Some q ->
+                  check (Float.abs (Pt.dist p q -. d) <= 1e-9)
+                | _ -> check false)
               got)
         ops;
       !ok)
 
 (* The dense kernel against its executable spec ([Grid_spec], the
    nested-table index it replaced): under a random add/remove/query
-   churn, every [nearest] / [k_nearest] answer must match in ids, points
-   and order, and every query must add exactly the spec's work to the
-   [geometry.grid.*] counters.  Points come from four families: a coarse
-   lattice that lands on cell boundaries and ties distances, free
+   churn, every [nearest] answer must match in ids, points and values,
+   every [k_nearest] answer in ids and order (the spec returns entries,
+   the kernel writes ids into a buffer reused across queries, as the
+   ranking loop does), and every query must add exactly the spec's work
+   to the [geometry.grid.*] counters.  Points come from four families: a
+   coarse lattice that lands on cell boundaries and ties distances, free
    coordinates (negative included), and far outliers beyond the dense
    extent, which live in the sparse fallback. *)
 let prop_grid_matches_spec =
@@ -616,6 +630,7 @@ let prop_grid_matches_spec =
       let g = Grid_index.create ?extent ~cell () in
       let s = Grid_spec.create ~cell in
       let live = ref [] and next = ref 0 and ok = ref true in
+      let buf = Array.make 12 (-1) in
       let spec_work () =
         let w = s.Grid_spec.work in
         [ w.queries; w.rings; w.cells; w.entries ]
@@ -653,8 +668,11 @@ let prop_grid_matches_spec =
           | _ ->
             let k = x mod 12 in
             same
-              (fun () -> Grid_index.k_nearest g ~skip p k)
-              (fun () -> Grid_spec.k_nearest s ~skip p k));
+              (fun () ->
+                let n = Grid_index.k_nearest g ~skip p k buf in
+                Array.to_list (Array.sub buf 0 n))
+              (fun () ->
+                List.map (fun (id, _, _) -> id) (Grid_spec.k_nearest s ~skip p k)));
           if Grid_index.size g <> Grid_spec.size s then ok := false)
         ops;
       !ok)
